@@ -17,7 +17,7 @@ using namespace convolve::rtos;
 namespace {
 
 // Addendum to the scripted attack suite: the same containment story with
-// real machine code. A rogue RV32 task (run on the decode-cache engine in
+// real machine code. A rogue RV32 task (run on the bytecode engine in
 // U-mode) stores to the kernel data region; PMP converts the store into a
 // fault and the kernel kills the task while a well-behaved RV32 neighbour
 // runs to completion.

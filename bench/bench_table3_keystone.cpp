@@ -62,7 +62,7 @@ ConfigResult run_config(bool pq) {
 }
 
 // Enclave code execution through the SM: a U-mode RV32 workload runs on
-// the decode-cache engine inside the enclave's PMP window, exits with
+// the bytecode engine inside the enclave's PMP window, exits with
 // ecall; a second program that dereferences OS memory must fault instead.
 struct EnclaveRunResult {
   std::uint64_t retired = 0;

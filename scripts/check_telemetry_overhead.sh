@@ -1,7 +1,7 @@
 #!/bin/sh
 # Zero-overhead gate for the telemetry layer: the ON build's throughput
 # must be within `tolerance` (default 2%) of the OFF build's on the two
-# paths where instrumentation would hurt most -- the rv32 fast engine's
+# paths where instrumentation would hurt most -- the rv32 bytecode engine's
 # ALU-bound loop (per-instruction counters) and the enclave service's
 # request loop (spans, per-tenant families, flight-recorder events).
 # Run as:
@@ -40,11 +40,12 @@ for bin in "$on_dir/bench/bench_rv32" "$off_dir/bench/bench_rv32" \
     fi
 done
 
-# rv32_ips <build-dir>: insns_per_second of one ALU-only rv32_alu/fast run.
+# rv32_ips <build-dir>: insns_per_second of one ALU-only rv32_alu/bytecode
+# run.
 rv32_ips() {
     "$1/bench/bench_rv32" --json --steps=10000000 --min-speedup=0 \
             --threads=1 --only=alu |
-        awk '/"name": "rv32_alu\/fast"/ {f=1} f && /"insns_per_second"/ {
+        awk '/"name": "rv32_alu\/bytecode"/ {f=1} f && /"insns_per_second"/ {
                  gsub(/[^0-9.]/, ""); print; exit }'
 }
 
@@ -89,7 +90,7 @@ gate() {
 }
 
 fail=0
-gate "rv32_alu/fast" rv32_ips 25 || fail=1
+gate "rv32_alu/bytecode" rv32_ips 25 || fail=1
 gate "enclave_service/requests" service_rps 9 || fail=1
 
 if [ $fail -eq 0 ]; then

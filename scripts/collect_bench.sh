@@ -81,7 +81,7 @@ run() {
     run_as "$name" "$name" "$@"
 }
 
-run bench_rv32 --steps=200000 --min-speedup=0 --min-bytecode-speedup=0
+run bench_rv32 --steps=200000 --min-speedup=0
 run bench_sca --unmasked-traces=1024 --min-masked-ratio=4 --sigma=0.5
 # The same sca campaign on both evaluation engines: BENCH_bench_sca.json
 # (bitsliced, lanes=64 default) vs BENCH_bench_sca_scalar.json (the scalar

@@ -44,6 +44,11 @@ class JsonParseError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so hostile input must not pick the recursion depth; the tree
+/// itself emits fewer than ten levels.
+inline constexpr std::size_t kMaxDepth = 256;
+
 namespace detail {
 
 class Parser {
@@ -60,6 +65,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects currently open
 
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonParseError("JSON parse error at offset " +
@@ -93,8 +99,16 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't':
       case 'f': {

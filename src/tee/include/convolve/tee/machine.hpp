@@ -123,23 +123,11 @@ class Machine {
   /// Pages copied out of the shared image so far (0 for non-forks).
   std::uint64_t cow_pages_materialized() const { return cow_materialized_; }
 
-  /// Publish the PMP-memo hit/miss and CoW tallies to the global telemetry
-  /// counters (rv32.pmp_memo.hits / rv32.pmp_memo.misses /
-  /// tee.cow.pages_materialized) and zero them. Called from the
-  /// destructor; call explicitly before snapshotting when the Machine is
-  /// still alive. No-op in CONVOLVE_TELEMETRY=OFF builds.
+  /// Publish the PMP-memo miss and CoW tallies to the global telemetry
+  /// counters (rv32.pmp_memo.misses / tee.cow.pages_materialized) and zero
+  /// them. Called from the destructor; call explicitly before snapshotting
+  /// when the Machine is still alive. No-op in CONVOLVE_TELEMETRY=OFF builds.
   void flush_telemetry() const;
-
-  /// Credit `n` PMP-memo hits in batch. The hit path of access_ok is too
-  /// hot to tally per call, so clients that know their access count credit
-  /// it wholesale: the RV32 fast engine credits one hit per retired
-  /// instruction (each did exactly one memoized execute check; the refill
-  /// misses counted above are a vanishing fraction, and data-access window
-  /// hits are deliberately not tallied).
-  void credit_memo_hits(std::uint64_t n) const {
-    CONVOLVE_TELEMETRY_ONLY(memo_hits_ += n;)
-    (void)n;
-  }
 
   PmpUnit& pmp() { return pmp_; }
   const PmpUnit& pmp() const { return pmp_; }
@@ -164,14 +152,15 @@ class Machine {
 
   // Allocation-free fast path -------------------------------------------
   //
-  // The hot interpreter loop uses these instead of load/store/fetch32:
-  // no Bytes allocation, no exception on the fault path (a bool status is
-  // returned and the caller raises the architectural trap), and the PMP
-  // decision is memoized per access type: the last allowed check caches
-  // the uniform-decision window from PmpUnit::check_region, so the common
-  // case (same region, same mode) is a few compares instead of a 16-entry
-  // scan. The memo is keyed by the PMP epoch and is therefore coherent
-  // across PMP reprogramming (enter_os/enter_enclave context switches).
+  // The bytecode engine's loads and stores use these instead of
+  // load/store: no Bytes allocation, no exception on the fault path (a
+  // bool status is returned and the caller raises the architectural trap),
+  // and the PMP decision is memoized per access type: the last allowed
+  // check caches the uniform-decision window from PmpUnit::check_region,
+  // so the common case (same region, same mode) is a few compares instead
+  // of a 16-entry scan. The memo is keyed by the PMP epoch and is
+  // therefore coherent across PMP reprogramming (enter_os/enter_enclave
+  // context switches).
   //
   // Multi-byte accesses whose bytes stay within one page (the overwhelming
   // majority) go straight through the page pointer; the rare page-crossing
@@ -233,14 +222,6 @@ class Machine {
     touch_pages(addr, 4);
     return true;
   }
-  /// Non-throwing fetch: execute-permission check through the memo.
-  bool fetch32_fast(std::uint64_t addr, PrivMode mode,
-                    std::uint32_t& out) const {
-    if (!access_ok(addr, 4, mode, AccessType::kExecute)) return false;
-    out = read_u32_raw(addr);
-    return true;
-  }
-
   /// Bounds + PMP decision for [addr, addr+len), memoized (see above).
   bool access_ok(std::uint64_t addr, std::size_t len, PrivMode mode,
                  AccessType type) const {
@@ -249,10 +230,8 @@ class Machine {
     PmpMemo& m = memo_[static_cast<std::size_t>(type)];
     if (m.epoch == pmp_.epoch() && m.mode == mode && addr >= m.lo &&
         end <= m.hi) {
-      // No tallying on the hit path: access_ok runs once per emulated
-      // instruction fetch, and even a plain increment there costs ~3% of
-      // fast-engine throughput. Hits are credited in batch instead (see
-      // credit_memo_hits); only the cold refill path below counts.
+      // No tallying on the hit path: access_ok runs on every emulated load
+      // and store, so only the cold refill path below counts.
       return true;
     }
     CONVOLVE_TELEMETRY_ONLY(++memo_misses_;)
@@ -334,7 +313,6 @@ class Machine {
   mutable std::array<PmpMemo, 3> memo_{};
   std::uint64_t cow_materialized_ = 0;
 #if CONVOLVE_TELEMETRY_ENABLED
-  mutable std::uint64_t memo_hits_ = 0;
   mutable std::uint64_t memo_misses_ = 0;
   mutable std::uint64_t cow_flushed_ = 0;  // cow_materialized_ published
 #endif

@@ -12,17 +12,14 @@
 // and are reported to the embedder -- the security monitor or kernel
 // decides whether to kill, restart or service the hart.
 //
-// Three execution engines share the architectural state: step() is the
-// straightforward fetch-decode-execute reference interpreter; the
-// decode-cache engine (per-page decoded-instruction cache +
-// allocation-free, exception-free memory path with memoized PMP lookups)
-// is the middle tier; and the default bytecode engine rewrites each
-// decoded page into a compact bytecode stream (handler byte + packed
-// operands, macro-op fusion of lui+addi / auipc+addi / auipc+lw /
-// cmp+branch pairs) run by a threaded dispatch loop — computed-goto under
-// GCC/Clang, dense switch elsewhere. All tiers are differentially tested
-// to be bit-identical to the reference, including trap cause/pc/tval and
-// step accounting.
+// Two execution engines share the architectural state: step() is the
+// straightforward fetch-decode-execute reference interpreter, and the
+// default bytecode engine decodes each code page once into a compact
+// bytecode stream (handler byte + packed operands, macro-op fusion of
+// lui+addi / auipc+addi / auipc+lw / cmp+branch pairs) run by a threaded
+// dispatch loop — computed-goto under GCC/Clang, dense switch elsewhere.
+// The bytecode engine is differentially tested to be bit-identical to the
+// reference, including trap cause/pc/tval and step accounting.
 #pragma once
 
 #include <array>
@@ -51,13 +48,12 @@ struct Trap {
   std::uint32_t tval;  // faulting address or raw instruction
 };
 
-/// Execution tier used by Rv32Cpu::run(). All tiers are architecturally
-/// bit-identical (registers, memory, pc, retired count, trap
-/// cause/pc/tval, step counts); they differ only in speed.
+/// Execution engine used by Rv32Cpu::run(). Both engines are
+/// architecturally bit-identical (registers, memory, pc, retired count,
+/// trap cause/pc/tval, step counts); they differ only in speed.
 enum class Rv32Engine : std::uint8_t {
   kInterpreted = 0,  // step() in a loop — the reference oracle
-  kDecodeCache = 1,  // per-page DecodedInsn cache, switch dispatch
-  kBytecode = 2,     // threaded bytecode dispatch + macro-op fusion
+  kBytecode = 1,     // threaded bytecode dispatch + macro-op fusion
 };
 
 class Rv32Cpu {
@@ -75,7 +71,7 @@ class Rv32Cpu {
   /// Execute one instruction via the reference interpreter. Returns a
   /// trap (pc NOT advanced past the trapping instruction, except for
   /// ecall/ebreak where it is) or nullopt on normal completion. This is
-  /// the oracle the fast engine is differentially tested against.
+  /// the oracle the bytecode engine is differentially tested against.
   std::optional<Trap> step();
 
   struct RunResult {
@@ -84,16 +80,16 @@ class Rv32Cpu {
   };
 
   /// Run until a trap or `max_steps` instructions on the selected engine
-  /// (default: the bytecode tier). Decoded-instruction pages are validated
-  /// against the machine's per-page store versions, so self-modifying code
-  /// re-decodes; memory accesses are allocation-free with memoized PMP
-  /// windows; nothing throws on the per-instruction path. Architectural
-  /// state (registers, pc, retired count, trap cause/pc/tval) is
-  /// bit-identical to run_interpreted on every tier.
+  /// (default: bytecode). Bytecode pages are validated against the
+  /// machine's per-page store versions, so self-modifying code re-decodes;
+  /// memory accesses are allocation-free with memoized PMP windows; nothing
+  /// throws on the per-instruction path. Architectural state (registers,
+  /// pc, retired count, trap cause/pc/tval) is bit-identical to
+  /// run_interpreted on both engines.
   RunResult run(std::uint64_t max_steps);
 
-  /// Select the execution tier used by run(). Takes effect on the next
-  /// run() call; architectural state carries over between tiers.
+  /// Select the execution engine used by run(). Takes effect on the next
+  /// run() call; architectural state carries over between engines.
   void set_engine(Rv32Engine engine) { engine_ = engine; }
   Rv32Engine engine() const { return engine_; }
   static constexpr Rv32Engine kDefaultEngine = Rv32Engine::kBytecode;
@@ -111,21 +107,19 @@ class Rv32Cpu {
   std::uint64_t instructions_retired() const { return retired_; }
 
  private:
-  // Decoded-instruction cache: 2-way set-associative over PC pages with a
-  // per-set 1-bit LRU. A way holds one fully decoded 4 KB page (both the
-  // DecodedInsn array used by the decode-cache tier and the BcOp bytecode
-  // used by the threaded tier); it is valid while the machine's store
-  // version of that page is unchanged (stores to executable regions bump
-  // it, invalidating stale decodes). Two ways per set so a pair of hot
-  // pages whose bases alias to the same set (e.g. call sites 32 KB apart)
-  // coexist instead of ping-ponging through full re-decodes.
+  // Bytecode page cache: 2-way set-associative over PC pages with a
+  // per-set 1-bit LRU. A way holds the BcOp bytecode of one 4 KB page; it
+  // is valid while the machine's store version of that page is unchanged
+  // (stores to executable regions bump it, invalidating stale decodes).
+  // Two ways per set so a pair of hot pages whose bases alias to the same
+  // set (e.g. call sites 32 KB apart) coexist instead of ping-ponging
+  // through full re-decodes.
   static constexpr std::size_t kPageInsts =
       Machine::kPageBytes / 4;  // 32-bit instructions only
   struct DecodedPage {
     std::uint64_t base = ~0ull;  // page base address; all-ones = empty
     std::uint32_t version = 0;   // Machine::page_version at decode time
     bool bc_linked = false;      // bytecode[].target linked to handler labels
-    std::array<DecodedInsn, kPageInsts> insts{};
     std::array<BcOp, kPageInsts> bytecode{};
   };
   static constexpr std::size_t kCacheSets = 8;  // power of two
@@ -138,7 +132,6 @@ class Rv32Cpu {
   DecodedPage* decoded_page(std::uint64_t page_base);
   void decode_page_into(DecodedPage& slot, std::uint64_t page_base,
                         std::uint32_t version);
-  RunResult run_fast(std::uint64_t max_steps);
   RunResult run_bytecode(std::uint64_t max_steps);
 
   Machine& machine_;
@@ -152,7 +145,6 @@ class Rv32Cpu {
   // Plain per-hart tallies, flushed in bulk by flush_telemetry(): the run()
   // loop must not touch an atomic per instruction (the telemetry-ON build
   // is gated to within 2% of OFF on the ALU workload).
-  std::uint64_t fast_steps_ = 0;        // instructions retired via run_fast
   std::uint64_t bc_steps_ = 0;          // instructions retired via bytecode
   std::uint64_t fused_exec_ = 0;        // fused pairs executed fused
   std::uint64_t fused_emitted_ = 0;     // fused pairs emitted at decode time

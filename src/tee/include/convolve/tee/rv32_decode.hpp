@@ -1,13 +1,13 @@
 // Shared RV32IM instruction decoder.
 //
-// Exactly one decoder exists for the whole tree: the dynamic engines
-// (Rv32Cpu::run fast path and its decode cache) and the static binary
-// analyzer (analysis/rv32static linear sweep) both consume DecodedInsn
-// produced by decode_rv32() below. Keeping the decode in one header makes
-// divergence between "what executes" and "what the analyzer reasons
-// about" structurally impossible -- a soundness precondition for the
-// static constant-time/PMP lint, pinned by the regression corpus in
-// tests/tee/test_rv32_decode_shared.cpp.
+// Exactly one decoder exists for the whole tree: the bytecode engine
+// (Rv32Cpu::run, which rewrites each DecodedInsn into a BcOp when it
+// decodes a page) and the static binary analyzer (analysis/rv32static
+// linear sweep) both consume DecodedInsn produced by decode_rv32() below.
+// Keeping the decode in one header makes divergence between "what
+// executes" and "what the analyzer reasons about" structurally impossible
+// -- a soundness precondition for the static constant-time/PMP lint,
+// pinned by the regression corpus in tests/tee/test_rv32_decode_shared.cpp.
 //
 // The decode is strict: reserved funct7/funct3 combinations (the SUB bit
 // on AND, CSR-class SYSTEM encodings, shift-immediate funct7 garbage)
@@ -257,10 +257,10 @@ constexpr std::uint32_t access_bytes(OpKind k) {
 // Bytecode tier: compact per-slot ops for the threaded dispatch engine.
 // ---------------------------------------------------------------------
 //
-// The bytecode engine (Rv32Cpu::run with Rv32Engine::kBytecode) rewrites
-// each decoded page into one BcOp per 4-byte slot: a handler byte indexing
+// The bytecode engine (Rv32Cpu::run with Rv32Engine::kBytecode) decodes
+// each code page into one BcOp per 4-byte slot: a handler byte indexing
 // the dispatch table plus pre-extracted operands, so the hot loop touches
-// exactly one 12-byte record per dispatch. A decode-time fusion pass
+// exactly one BcOp record per dispatch. A decode-time fusion pass
 // additionally recognizes adjacent pairs (lui+addi, auipc+addi, auipc+lw,
 // cmp/addi+branch-on-zero) and emits a fused handler in the FIRST slot of
 // the pair; the second slot always keeps its own unfused bytecode, so a

@@ -96,17 +96,17 @@ class SecurityMonitor {
   /// under the enclave PMP view, starting at `entry_offset` into the
   /// region. Execution ends at a trap (ecall = clean exit request, PMP
   /// faults = contained violations) or after `max_steps` instructions.
-  /// The OS PMP view is restored before returning. The execution tier is
-  /// the enclave's hoisted engine selection (see set_enclave_engine); the
-  /// explicit-engine overload below pins a tier for this call only (all
-  /// tiers are architecturally bit-identical).
+  /// The OS PMP view is restored before returning. The execution engine
+  /// is the enclave's hoisted selection (see set_enclave_engine); the
+  /// explicit-engine overload below pins an engine for this call only
+  /// (both engines are architecturally bit-identical).
   Rv32Cpu::RunResult run_enclave_program(int id, std::uint64_t max_steps,
                                          std::uint32_t entry_offset = 0);
   Rv32Cpu::RunResult run_enclave_program(int id, std::uint64_t max_steps,
                                          std::uint32_t entry_offset,
                                          Rv32Engine engine);
 
-  /// Choose the execution tier for an enclave once; subsequent runs (and
+  /// Choose the execution engine for an enclave once; subsequent runs (and
   /// forks resumed from a snapshot) inherit it.
   void set_enclave_engine(int id, Rv32Engine engine);
 

@@ -103,15 +103,12 @@ void Machine::materialize_all() {
 
 #if CONVOLVE_TELEMETRY_ENABLED
 namespace {
-telemetry::Counter t_pmp_memo_hits{"rv32.pmp_memo.hits"};
 telemetry::Counter t_pmp_memo_misses{"rv32.pmp_memo.misses"};
 telemetry::Counter t_cow_materialized{"tee.cow.pages_materialized"};
 }  // namespace
 
 void Machine::flush_telemetry() const {
-  if (memo_hits_ != 0) t_pmp_memo_hits.add(memo_hits_);
   if (memo_misses_ != 0) t_pmp_memo_misses.add(memo_misses_);
-  memo_hits_ = 0;
   memo_misses_ = 0;
   if (cow_materialized_ > cow_flushed_) {
     t_cow_materialized.add(cow_materialized_ - cow_flushed_);

@@ -32,23 +32,15 @@ Rv32Cpu::~Rv32Cpu() { flush_telemetry(); }
 void Rv32Cpu::flush_telemetry() {
   t_retired.add(retired_ - flushed_retired_);
   flushed_retired_ = retired_;
-  // A "hit" is an instruction served from an already-decoded page (either
-  // fast tier); each decoded_page() decode corresponds to the one
-  // instruction that forced it (a miss), everything else executed cached
-  // decodes.
-  const std::uint64_t cached_steps = fast_steps_ + bc_steps_;
-  t_dc_hits.add(cached_steps > dc_decodes_ ? cached_steps - dc_decodes_ : 0);
+  // A "hit" is an instruction served from an already-decoded page; each
+  // decoded_page() decode corresponds to the one instruction that forced
+  // it (a miss), everything else executed cached decodes.
+  t_dc_hits.add(bc_steps_ > dc_decodes_ ? bc_steps_ - dc_decodes_ : 0);
   t_dc_misses.add(dc_decodes_);
   t_dc_invalidations.add(dc_invalidations_);
   t_bc_insns.add(bc_steps_);
   t_fusion_pairs.add(fused_exec_);
   t_fusion_emitted.add(fused_emitted_);
-  // Each decode-cache-tier retired instruction performed one memoized PMP
-  // execute check; credit those hits wholesale (access_ok's hit path is
-  // too hot to count per call). The bytecode tier hoists the check out of
-  // the loop entirely, so its steps are deliberately NOT credited.
-  machine_.credit_memo_hits(fast_steps_);
-  fast_steps_ = 0;
   bc_steps_ = 0;
   fused_exec_ = 0;
   fused_emitted_ = 0;
@@ -334,70 +326,56 @@ Rv32Cpu::RunResult Rv32Cpu::run_interpreted(std::uint64_t max_steps) {
 }
 
 // ---------------------------------------------------------------------
-// Fast engines: decoded-instruction cache + allocation-free memory path
+// Engine selection and the bytecode page cache
 // ---------------------------------------------------------------------
 
 Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
-  switch (engine_) {
-    case Rv32Engine::kInterpreted:
-      return run_interpreted(max_steps);
-    case Rv32Engine::kDecodeCache: {
+  if (engine_ == Rv32Engine::kInterpreted) return run_interpreted(max_steps);
 #if CONVOLVE_TELEMETRY_ENABLED
-      // Tally outside run_fast so the hot loop never touches the member
-      // (even an RAII reference to the result forces the step counter
-      // into memory and costs double-digit throughput).
-      RunResult r = run_fast(max_steps);
-      fast_steps_ += r.steps;
-      return r;
+  // Tally outside run_bytecode so the hot loop never touches the member
+  // (even an RAII reference to the result forces the step counter into
+  // memory and costs double-digit throughput).
+  RunResult r = run_bytecode(max_steps);
+  bc_steps_ += r.steps;
+  return r;
 #else
-      return run_fast(max_steps);
+  return run_bytecode(max_steps);
 #endif
-    }
-    case Rv32Engine::kBytecode:
-    default: {
-#if CONVOLVE_TELEMETRY_ENABLED
-      RunResult r = run_bytecode(max_steps);
-      bc_steps_ += r.steps;
-      return r;
-#else
-      return run_bytecode(max_steps);
-#endif
-    }
-  }
 }
 
 void Rv32Cpu::decode_page_into(DecodedPage& slot, std::uint64_t page_base,
                                std::uint32_t version) {
-  // (Re-)decode the page's words straight from memory. This caches code
-  // *bytes*, not permissions: the execute-permission check still happens
-  // per fetch against the live PMP state.
+  // (Re-)decode the page's words straight from memory into bytecode. This
+  // caches code *bytes*, not permissions: the execute-permission check
+  // still happens against the live PMP state (see run_bytecode's resync).
   const std::uint8_t* bytes = machine_.page_data(page_base);
   const std::uint64_t page_bytes =
       std::min<std::uint64_t>(Machine::kPageBytes,
                               machine_.memory_size() - page_base);
   const std::size_t n_insts = static_cast<std::size_t>(page_bytes / 4);
+  // Fusion pass over a sliding (current, next) decode window. A fused
+  // handler lives in the FIRST slot of its pair; the second slot keeps its
+  // own unfused bytecode so a jump into the middle of the pair executes
+  // the plain instruction. No fusion across the page edge: the second
+  // component must be decoded (and version-tracked) in this same page.
+  DecodedInsn next{};
+  if (n_insts > 0) next = decode_rv32(load_le32(bytes));
   for (std::size_t i = 0; i < n_insts; ++i) {
-    slot.insts[i] = decode_rv32(load_le32(bytes + 4 * i));
-  }
-  for (std::size_t i = n_insts; i < kPageInsts; ++i) {
-    slot.insts[i] = DecodedInsn{};  // unreachable: fetch bounds-faults first
-  }
-  // Bytecode rewrite + fusion pass. A fused handler lives in the FIRST
-  // slot of its pair; the second slot keeps its own unfused bytecode so a
-  // jump into the middle of the pair executes the plain instruction. No
-  // fusion across the page edge: the second component must be decoded
-  // (and version-tracked) in this same page.
-  for (std::size_t i = 0; i < n_insts; ++i) {
+    const DecodedInsn cur = next;
+    const bool has_next = i + 1 < n_insts;
+    if (has_next) next = decode_rv32(load_le32(bytes + 4 * (i + 1)));
     BcOp op;
-    if (i + 1 < n_insts && fuse_rv32(slot.insts[i], slot.insts[i + 1], op)) {
+    if (has_next && fuse_rv32(cur, next, op)) {
       CONVOLVE_TELEMETRY_ONLY(++fused_emitted_;)
     } else {
-      op = bytecode_single(slot.insts[i]);
+      op = bytecode_single(cur);
     }
     slot.bytecode[i] = op;
   }
+  // Slots past a partial last page stay kIllegal (tval 0); they are
+  // unreachable because the fetch bounds-faults first.
   for (std::size_t i = n_insts; i < kPageInsts; ++i) {
-    slot.bytecode[i] = BcOp{};  // kIllegal, tval 0 — unreachable (see above)
+    slot.bytecode[i] = BcOp{};
   }
   slot.base = page_base;
   slot.version = version;
@@ -426,219 +404,6 @@ Rv32Cpu::DecodedPage* Rv32Cpu::decoded_page(std::uint64_t page_base) {
   return &victim;
 }
 
-Rv32Cpu::RunResult Rv32Cpu::run_fast(std::uint64_t max_steps) {
-  if (!dcache_) dcache_ = std::make_unique<std::array<CacheSet, kCacheSets>>();
-  RunResult result;
-
-  const DecodedPage* page = nullptr;
-  std::uint64_t page_base = ~0ull;
-
-  while (result.steps < max_steps) {
-    const std::uint32_t pc = pc_;
-    if (pc % 4 != 0) {
-      result.trap = Trap{TrapCause::kMisalignedFetch, pc, pc};
-      ++result.steps;
-      return result;
-    }
-    // Execute-permission + bounds check through the memoized PMP window
-    // (a handful of compares on the hot path).
-    if (!machine_.access_ok(pc, 4, mode_, AccessType::kExecute)) {
-      result.trap = Trap{TrapCause::kInstructionAccessFault, pc, pc};
-      ++result.steps;
-      return result;
-    }
-    const std::uint64_t base = pc & ~(Machine::kPageBytes - 1);
-    // Revalidate the decoded page when crossing a page boundary or when
-    // a store bumped the page's version (self-modifying code).
-    if (base != page_base || page == nullptr ||
-        page->version != machine_.page_version(base)) {
-      page = decoded_page(base);
-      page_base = base;
-    }
-    const DecodedInsn& di =
-        page->insts[(pc & (Machine::kPageBytes - 1)) >> 2];
-
-    const std::uint32_t a = x_[di.rs1];
-    const std::uint32_t b = x_[di.rs2];
-    const std::uint32_t ui = static_cast<std::uint32_t>(di.imm);
-    std::uint32_t next_pc = pc + 4;
-    std::uint32_t value = 0;  // rd write staging for loads
-
-    switch (di.kind) {
-      case OpKind::kLui: value = ui; goto write_rd;
-      case OpKind::kAuipc: value = pc + ui; goto write_rd;
-      case OpKind::kJal:
-        value = pc + 4;
-        next_pc = pc + ui;
-        goto write_rd;
-      case OpKind::kJalr:
-        value = pc + 4;
-        next_pc = (a + ui) & ~1u;
-        goto write_rd;
-      case OpKind::kBeq: if (a == b) next_pc = pc + ui; break;
-      case OpKind::kBne: if (a != b) next_pc = pc + ui; break;
-      case OpKind::kBlt:
-        if (static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b))
-          next_pc = pc + ui;
-        break;
-      case OpKind::kBge:
-        if (static_cast<std::int32_t>(a) >= static_cast<std::int32_t>(b))
-          next_pc = pc + ui;
-        break;
-      case OpKind::kBltu: if (a < b) next_pc = pc + ui; break;
-      case OpKind::kBgeu: if (a >= b) next_pc = pc + ui; break;
-
-      case OpKind::kLb: {
-        std::uint8_t v;
-        if (!machine_.read8(a + ui, mode_, v)) goto load_fault;
-        value = static_cast<std::uint32_t>(sign_extend(v, 8));
-        goto write_rd;
-      }
-      case OpKind::kLh: {
-        std::uint16_t v;
-        if (!machine_.read16(a + ui, mode_, v)) goto load_fault;
-        value = static_cast<std::uint32_t>(sign_extend(v, 16));
-        goto write_rd;
-      }
-      case OpKind::kLw:
-        if (!machine_.read32(a + ui, mode_, value)) goto load_fault;
-        goto write_rd;
-      case OpKind::kLbu: {
-        std::uint8_t v;
-        if (!machine_.read8(a + ui, mode_, v)) goto load_fault;
-        value = v;
-        goto write_rd;
-      }
-      case OpKind::kLhu: {
-        std::uint16_t v;
-        if (!machine_.read16(a + ui, mode_, v)) goto load_fault;
-        value = v;
-        goto write_rd;
-      }
-
-      case OpKind::kSb:
-        if (!machine_.write8(a + ui, static_cast<std::uint8_t>(b), mode_))
-          goto store_fault;
-        break;
-      case OpKind::kSh:
-        if (!machine_.write16(a + ui, static_cast<std::uint16_t>(b), mode_))
-          goto store_fault;
-        break;
-      case OpKind::kSw:
-        if (!machine_.write32(a + ui, b, mode_)) goto store_fault;
-        break;
-
-      case OpKind::kAddi: value = a + ui; goto write_rd;
-      case OpKind::kSlti:
-        value = static_cast<std::int32_t>(a) < di.imm ? 1 : 0;
-        goto write_rd;
-      case OpKind::kSltiu: value = a < ui ? 1 : 0; goto write_rd;
-      case OpKind::kXori: value = a ^ ui; goto write_rd;
-      case OpKind::kOri: value = a | ui; goto write_rd;
-      case OpKind::kAndi: value = a & ui; goto write_rd;
-      case OpKind::kSlli: value = a << di.imm; goto write_rd;
-      case OpKind::kSrli: value = a >> di.imm; goto write_rd;
-      case OpKind::kSrai:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(a) >> di.imm);
-        goto write_rd;
-
-      case OpKind::kAdd: value = a + b; goto write_rd;
-      case OpKind::kSub: value = a - b; goto write_rd;
-      case OpKind::kSll: value = a << (b & 31); goto write_rd;
-      case OpKind::kSlt:
-        value = static_cast<std::int32_t>(a) < static_cast<std::int32_t>(b)
-                    ? 1 : 0;
-        goto write_rd;
-      case OpKind::kSltu: value = a < b ? 1 : 0; goto write_rd;
-      case OpKind::kXor: value = a ^ b; goto write_rd;
-      case OpKind::kSrl: value = a >> (b & 31); goto write_rd;
-      case OpKind::kSra:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(a) >> (b & 31));
-        goto write_rd;
-      case OpKind::kOr: value = a | b; goto write_rd;
-      case OpKind::kAnd: value = a & b; goto write_rd;
-
-      case OpKind::kMul:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
-            static_cast<std::int64_t>(static_cast<std::int32_t>(b)));
-        goto write_rd;
-      case OpKind::kMulh:
-        value = static_cast<std::uint32_t>(
-            (static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
-             static_cast<std::int64_t>(static_cast<std::int32_t>(b))) >> 32);
-        goto write_rd;
-      case OpKind::kMulhsu:
-        value = static_cast<std::uint32_t>(
-            (static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
-             static_cast<std::int64_t>(static_cast<std::uint64_t>(b))) >> 32);
-        goto write_rd;
-      case OpKind::kMulhu:
-        value = static_cast<std::uint32_t>(
-            (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b))
-            >> 32);
-        goto write_rd;
-      case OpKind::kDiv:
-        if (b == 0) value = 0xffffffffu;
-        else if (a == 0x80000000u && b == 0xffffffffu) value = 0x80000000u;
-        else value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(a) / static_cast<std::int32_t>(b));
-        goto write_rd;
-      case OpKind::kDivu: value = b == 0 ? 0xffffffffu : a / b; goto write_rd;
-      case OpKind::kRem:
-        if (b == 0) value = a;
-        else if (a == 0x80000000u && b == 0xffffffffu) value = 0;
-        else value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(a) % static_cast<std::int32_t>(b));
-        goto write_rd;
-      case OpKind::kRemu: value = b == 0 ? a : a % b; goto write_rd;
-
-      case OpKind::kFence:
-        break;
-
-      case OpKind::kEcall:
-      case OpKind::kEbreak:
-        pc_ = pc + 4;
-        ++retired_;
-        ++result.steps;
-        result.trap = Trap{di.kind == OpKind::kEcall ? TrapCause::kEcall
-                                                     : TrapCause::kEbreak,
-                           pc, 0};
-        return result;
-
-      case OpKind::kIllegal:
-      default:
-        result.trap = Trap{TrapCause::kIllegalInstruction, pc,
-                           static_cast<std::uint32_t>(di.imm)};
-        ++result.steps;
-        return result;
-    }
-    goto retire;
-
-  write_rd:
-    if (di.rd != 0) x_[di.rd] = value;
-    goto retire;
-
-  load_fault:
-    result.trap = Trap{TrapCause::kLoadAccessFault, pc, a + ui};
-    ++result.steps;
-    return result;
-
-  store_fault:
-    result.trap = Trap{TrapCause::kStoreAccessFault, pc, a + ui};
-    ++result.steps;
-    return result;
-
-  retire:
-    pc_ = next_pc;
-    ++retired_;
-    ++result.steps;
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------
 // Bytecode engine: threaded dispatch + macro-op fusion
 // ---------------------------------------------------------------------
@@ -654,7 +419,7 @@ Rv32Cpu::RunResult Rv32Cpu::run_fast(std::uint64_t max_steps) {
 // the pc leaves it, and only stores can invalidate the current page's
 // decode.
 //
-// Accounting contract (identical to run_interpreted / run_fast):
+// Accounting contract (identical to run_interpreted):
 //   - every attempted instruction, including a trapping one, consumes
 //     one step; steps and pending retires are carried as a fuel
 //     countdown and reconstructed at the exits.
@@ -789,8 +554,8 @@ Rv32Cpu::RunResult Rv32Cpu::run_fast(std::uint64_t max_steps) {
 // GCSE and cross-jumping would factor the per-handler computed gotos into
 // one shared indirect jump, serializing branch prediction across the whole
 // emulated instruction stream (the GCC manual recommends -fno-gcse for
-// computed-goto interpreters). Scoped here so the other engines in this
-// translation unit keep the default pipeline.
+// computed-goto interpreters). Scoped here so the reference interpreter in
+// this translation unit keeps the default pipeline.
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-gcse", "no-crossjumping")))
 #endif

@@ -161,6 +161,22 @@ TEST(TelemetrySnapshot, JsonParsesWithExpectedSections) {
   EXPECT_NE(h->find("buckets"), nullptr);
 }
 
+// The parser recurses per nesting level; a hostile document must get a
+// typed error at the cap instead of overflowing the stack.
+TEST(JsonParse, NestingDepthIsCapped) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)),
+               json::JsonParseError);
+  EXPECT_THROW(json::parse(nested(200000)), json::JsonParseError);
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(200000, '}');
+  EXPECT_THROW(json::parse(objects), json::JsonParseError);
+}
+
 // The pool counts one pool.tasks per executed chunk, on both the serial
 // and the work-stealing path, so the delta for a fixed workload must be
 // identical at every thread count (steal balance may differ; totals not).

@@ -1,6 +1,6 @@
 // Negative decode tests: every encoding the lax decoder used to accept
 // (or mis-book-keep) must trap as an illegal instruction, identically on
-// the reference interpreter (step loop) and the fast decode-cache engine.
+// the reference interpreter (step loop) and the bytecode engine.
 #include "convolve/tee/rv32.hpp"
 
 #include <gtest/gtest.h>

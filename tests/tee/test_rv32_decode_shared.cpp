@@ -1,8 +1,8 @@
 // Regression corpus for the shared decoder (convolve/tee/rv32_decode.hpp).
 //
-// The decoder is consumed by three clients that must never diverge: the
-// reference interpreter step(), the decode-cache fast engine, and the
-// static binary analyzer's linear sweep. This suite pins:
+// The decoder is consumed by the bytecode engine and the static binary
+// analyzer's linear sweep, and both must agree with the reference
+// interpreter step(), which decodes the raw word itself. This suite pins:
 //   1. byte-for-byte DecodedInsn goldens on edge-case encodings,
 //   2. decode legality == interpreter legality over an exhaustive OP
 //      funct7 x funct3 sweep and a SYSTEM-class corpus,

@@ -1,12 +1,12 @@
-// Tri-engine validation: the decode-cache engine and the threaded
-// bytecode engine (Rv32Cpu::run) must both be bit-identical in
-// architectural state to the reference interpreter (Rv32Cpu::step /
-// run_interpreted) — registers, pc, retired count, trap cause/pc/tval and
-// memory — under random instruction streams (valid, mutated, and
-// fusion-pattern-seeded), PMP-restricted U-mode execution, self-modifying
-// code (including patches that land on the second half of a fused pair),
-// PMP reprogramming between runs, step budgets that end between fused-pair
-// halves, and code images that end on a non-4-byte-aligned tail.
+// Two-engine validation: the threaded bytecode engine (Rv32Cpu::run) must
+// be bit-identical in architectural state to the reference interpreter
+// (Rv32Cpu::step / run_interpreted) — registers, pc, retired count, trap
+// cause/pc/tval and memory — under random instruction streams (valid,
+// mutated, and fusion-pattern-seeded), PMP-restricted U-mode execution,
+// self-modifying code (including patches that land on the second half of
+// a fused pair), PMP reprogramming between runs, step budgets that end
+// between fused-pair halves, and code images that end on a
+// non-4-byte-aligned tail.
 #include "convolve/tee/rv32.hpp"
 
 #include <gtest/gtest.h>
@@ -23,80 +23,68 @@ namespace rv = rv32asm;
 
 constexpr std::size_t kMemBytes = 1 << 16;
 
-// A reference machine/cpu plus one machine/cpu per fast tier, kept in
-// lock-step: identical memory images, PMP programs and register files.
-struct TriCpu {
+// A reference machine/cpu and a bytecode machine/cpu kept in lock-step:
+// identical memory images, PMP programs and register files.
+struct DuoCpu {
   Machine ref_machine;
-  Machine dc_machine;
   Machine bc_machine;
   std::unique_ptr<Rv32Cpu> ref;
-  std::unique_ptr<Rv32Cpu> dc;
   std::unique_ptr<Rv32Cpu> bc;
 
-  TriCpu(const Bytes& program, std::uint32_t load_addr, std::uint32_t entry,
+  DuoCpu(const Bytes& program, std::uint32_t load_addr, std::uint32_t entry,
          PrivMode mode, std::size_t mem_bytes = kMemBytes)
-      : ref_machine(mem_bytes), dc_machine(mem_bytes), bc_machine(mem_bytes) {
+      : ref_machine(mem_bytes), bc_machine(mem_bytes) {
     ref_machine.store(load_addr, program, PrivMode::kMachine);
-    dc_machine.store(load_addr, program, PrivMode::kMachine);
     bc_machine.store(load_addr, program, PrivMode::kMachine);
     ref = std::make_unique<Rv32Cpu>(ref_machine, entry, mode);
-    dc = std::make_unique<Rv32Cpu>(dc_machine, entry, mode);
     bc = std::make_unique<Rv32Cpu>(bc_machine, entry, mode);
-    dc->set_engine(Rv32Engine::kDecodeCache);
     bc->set_engine(Rv32Engine::kBytecode);
   }
 
   void set_pmp(int index, const PmpEntry& e) {
     ref_machine.pmp().set_entry(index, e);
-    dc_machine.pmp().set_entry(index, e);
     bc_machine.pmp().set_entry(index, e);
   }
 
   void set_reg(int index, std::uint32_t value) {
     ref->set_reg(index, value);
-    dc->set_reg(index, value);
     bc->set_reg(index, value);
   }
 
   void store_all(std::uint32_t addr, const Bytes& data) {
     ref_machine.store(addr, data, PrivMode::kMachine);
-    dc_machine.store(addr, data, PrivMode::kMachine);
     bc_machine.store(addr, data, PrivMode::kMachine);
   }
 
-  // Run all three engines with the same step budget and assert identical
+  // Run both engines with the same step budget and assert identical
   // architectural state. Returns the (common) trap, if any.
   std::optional<Trap> run_all(std::uint64_t max_steps) {
     const auto r_ref = ref->run_interpreted(max_steps);
-    const auto r_dc = dc->run(max_steps);
     const auto r_bc = bc->run(max_steps);
-    compare("decode-cache", r_ref, r_dc, *dc, dc_machine);
-    compare("bytecode", r_ref, r_bc, *bc, bc_machine);
+    compare(r_ref, r_bc);
     return r_ref.trap;
   }
 
  private:
-  void compare(const char* tier, const Rv32Cpu::RunResult& r_ref,
-               const Rv32Cpu::RunResult& r_fast, const Rv32Cpu& fast,
-               Machine& fast_machine) {
-    SCOPED_TRACE(tier);
-    EXPECT_EQ(r_ref.steps, r_fast.steps);
-    EXPECT_EQ(r_ref.trap.has_value(), r_fast.trap.has_value());
-    if (r_ref.trap && r_fast.trap) {
+  void compare(const Rv32Cpu::RunResult& r_ref,
+               const Rv32Cpu::RunResult& r_bc) {
+    EXPECT_EQ(r_ref.steps, r_bc.steps);
+    EXPECT_EQ(r_ref.trap.has_value(), r_bc.trap.has_value());
+    if (r_ref.trap && r_bc.trap) {
       EXPECT_EQ(static_cast<int>(r_ref.trap->cause),
-                static_cast<int>(r_fast.trap->cause));
-      EXPECT_EQ(r_ref.trap->pc, r_fast.trap->pc);
-      EXPECT_EQ(r_ref.trap->tval, r_fast.trap->tval);
+                static_cast<int>(r_bc.trap->cause));
+      EXPECT_EQ(r_ref.trap->pc, r_bc.trap->pc);
+      EXPECT_EQ(r_ref.trap->tval, r_bc.trap->tval);
     }
-    EXPECT_EQ(ref->pc(), fast.pc());
-    EXPECT_EQ(ref->instructions_retired(), fast.instructions_retired());
+    EXPECT_EQ(ref->pc(), bc->pc());
+    EXPECT_EQ(ref->instructions_retired(), bc->instructions_retired());
     for (int i = 0; i < 32; ++i) {
-      EXPECT_EQ(ref->reg(i), fast.reg(i)) << "x" << i;
+      EXPECT_EQ(ref->reg(i), bc->reg(i)) << "x" << i;
     }
     const auto mem_ref = ref_machine.raw_memory();
-    const auto mem_fast = fast_machine.raw_memory();
-    EXPECT_TRUE(std::equal(mem_ref.begin(), mem_ref.end(), mem_fast.begin(),
-                           mem_fast.end()))
+    const auto mem_bc = bc_machine.raw_memory();
+    EXPECT_TRUE(std::equal(mem_ref.begin(), mem_ref.end(), mem_bc.begin(),
+                           mem_bc.end()))
         << "memory images diverged";
   }
 };
@@ -253,7 +241,7 @@ TEST(Rv32Engine, DifferentialFuzzMachineMode) {
     for (int i = 0; i < 64; ++i) program.push_back(fuzz.next());
     program.push_back(rv::ebreak());
 
-    TriCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
+    DuoCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
     t.set_reg(1, 0x3000);  // data pointers for the load/store slices
     t.set_reg(2, 0x3800);
     // Resume across resumable traps so streams with early ecalls still
@@ -278,7 +266,7 @@ TEST(Rv32Engine, DifferentialFuzzUserModeUnderPmp) {
     for (int i = 0; i < 48; ++i) program.push_back(fuzz.next());
     program.push_back(rv::ebreak());
 
-    TriCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kUser);
+    DuoCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kUser);
     // U-mode window [0x1000, 0x4000) RWX; x2 points outside it so a slice
     // of the loads/stores hits the PMP deny path.
     PmpEntry e;
@@ -298,7 +286,7 @@ TEST(Rv32Engine, DifferentialFuzzUserModeUnderPmp) {
 TEST(Rv32Engine, BranchToMisalignedTargetTrapsAtTarget) {
   // Taken branch to pc+6: the branch itself retires, the trap is deferred
   // to the next fetch and attributed to the (misaligned) target address.
-  TriCpu t(rv::assemble({rv::beq(0, 0, 6), rv::ebreak()}), 0x1000, 0x1000,
+  DuoCpu t(rv::assemble({rv::beq(0, 0, 6), rv::ebreak()}), 0x1000, 0x1000,
            PrivMode::kMachine);
   const auto trap = t.run_all(10);
   ASSERT_TRUE(trap.has_value());
@@ -308,7 +296,7 @@ TEST(Rv32Engine, BranchToMisalignedTargetTrapsAtTarget) {
 }
 
 TEST(Rv32Engine, JalToMisalignedTargetTrapsAtTarget) {
-  TriCpu t(rv::assemble({rv::jal(1, 6), rv::ebreak()}), 0x1000, 0x1000,
+  DuoCpu t(rv::assemble({rv::jal(1, 6), rv::ebreak()}), 0x1000, 0x1000,
            PrivMode::kMachine);
   const auto trap = t.run_all(10);
   ASSERT_TRUE(trap.has_value());
@@ -320,7 +308,7 @@ TEST(Rv32Engine, JalToMisalignedTargetTrapsAtTarget) {
 TEST(Rv32Engine, JalrClearsBit0ButTrapsOnBit1) {
   // JALR zeroes bit 0 of the computed target (spec) but bit 1 survives
   // and must produce a misaligned-fetch trap attributed to the target.
-  TriCpu t(rv::assemble({rv::jalr(5, 6, 0), rv::ebreak()}), 0x1000, 0x1000,
+  DuoCpu t(rv::assemble({rv::jalr(5, 6, 0), rv::ebreak()}), 0x1000, 0x1000,
            PrivMode::kMachine);
   t.set_reg(6, 0x1007);  // target = 0x1007 & ~1 = 0x1006
   const auto trap = t.run_all(10);
@@ -336,7 +324,7 @@ TEST(Rv32Engine, JalrWithRdEqualRs1UsesOldValueForTarget) {
   std::vector<std::uint32_t> program(16, rv::nop());
   program[0] = rv::jalr(1, 1, 0x20);
   program[8] = rv::ebreak();  // 0x1000 + 0x20
-  TriCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
+  DuoCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
   t.set_reg(1, 0x1000);
   const auto trap = t.run_all(10);
   ASSERT_TRUE(trap.has_value());
@@ -351,7 +339,7 @@ TEST(Rv32Engine, FusedLuiAddiVariants) {
   // Distinct destination, aliasing destination (addi rd == lui rd), and
   // discarded second destination (addi rd == x0) — all must match the
   // two-instruction reference exactly.
-  TriCpu t(rv::assemble({
+  DuoCpu t(rv::assemble({
                rv::lui(1, 0x12345), rv::addi(2, 1, 0x678),   // x2 = 12345678
                rv::lui(3, 0x0dead), rv::addi(3, 3, -0x111),  // alias rd
                rv::lui(4, 0x0beef), rv::addi(0, 4, 0x0ff),   // rd2 == x0
@@ -371,7 +359,7 @@ TEST(Rv32Engine, FusedAuipcLwFaultAttributesSecondComponent) {
   // auipc x1 commits and retires; the fused lw faults. The trap must name
   // the lw's pc (pair pc + 4) and the faulting data address, and the step
   // count must include the faulting attempt.
-  TriCpu t(rv::assemble({rv::auipc(1, 0x20), rv::lw(2, 1, 0), rv::ebreak()}),
+  DuoCpu t(rv::assemble({rv::auipc(1, 0x20), rv::lw(2, 1, 0), rv::ebreak()}),
            0x1000, 0x1000, PrivMode::kMachine);
   const auto trap = t.run_all(10);
   ASSERT_TRUE(trap.has_value());
@@ -386,7 +374,7 @@ TEST(Rv32Engine, FusedCmpBranchTakenNotTakenAndMisaligned) {
   // slti+bnez taken and not-taken legs, then a fused pair whose branch
   // target is misaligned: the pair retires and the trap lands on the
   // target address, exactly like the unfused reference.
-  TriCpu t(rv::assemble({
+  DuoCpu t(rv::assemble({
                rv::slti(1, 0, 1),   // x1 = (0 < 1) = 1
                rv::bne(1, 0, 12),   // taken -> 0x1010
                rv::ebreak(),        // skipped
@@ -417,7 +405,7 @@ TEST(Rv32Engine, FusedPairSplitAtBudgetBoundary) {
     program.push_back(rv::srli(2, 8, 29));
   }
   program.push_back(rv::ebreak());
-  TriCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
+  DuoCpu t(rv::assemble(program), 0x1000, 0x1000, PrivMode::kMachine);
   t.set_reg(8, 0x80000001u);
   t.run_all(5);  // ends after the first half of the third pair
   EXPECT_EQ(t.bc->pc(), 0x1014u);
@@ -432,7 +420,7 @@ TEST(Rv32Engine, SmcPatchesSecondHalfOfFusedPair) {
   // over the pair's second half (bumping the page version mid-run) and
   // re-executes it: the engine must re-decode and apply the patched
   // immediate instead of replaying the stale fused pair.
-  TriCpu t(rv::assemble({
+  DuoCpu t(rv::assemble({
                rv::auipc(1, 0),       // 0x1000: x1 = 0x1000
                rv::lw(3, 1, 0x100),   // 0x1004: x3 = patch word
                rv::jal(0, 0x28),      // 0x1008: -> 0x1030
@@ -462,7 +450,7 @@ TEST(Rv32Engine, FusiblePairAtPageEdgeIsNotFused) {
       telemetry::snapshot().counter_value("rv32.fusion.emitted");
 #endif
   {
-    TriCpu t(rv::assemble({
+    DuoCpu t(rv::assemble({
                  rv::addi(3, 0, 7),      // 0x1ff8
                  rv::lui(1, 0x12345),    // 0x1ffc: last slot of page 0x1000
                  rv::addi(2, 1, 0x678),  // 0x2000: first slot of page 0x2000
@@ -491,7 +479,7 @@ TEST(Rv32Engine, PmpExecuteWindowEndsBetweenFusedPairHalves) {
   program[0] = rv::addi(3, 0, 9);      // 0x17f8
   program[1] = rv::lui(1, 2);          // 0x17fc
   program[2] = rv::addi(2, 1, 4);      // 0x1800 (outside exec window)
-  TriCpu t(rv::assemble(program), 0x17f8, 0x17f8, PrivMode::kUser);
+  DuoCpu t(rv::assemble(program), 0x17f8, 0x17f8, PrivMode::kUser);
   PmpEntry code;
   code.mode = PmpAddressMode::kNapot;
   code.address = PmpUnit::encode_napot(0x1000, 0x800);
@@ -508,13 +496,13 @@ TEST(Rv32Engine, PmpExecuteWindowEndsBetweenFusedPairHalves) {
 TEST(Rv32Engine, FusedAndUnfusedRetireIdenticalCounts) {
   // The Keccak-style rotate/mix loop is fusion-dense; retired counts and
   // state must match the reference exactly, and (telemetry builds) the
-  // bytecode tier must actually have executed fused pairs.
+  // bytecode engine must actually have executed fused pairs.
 #if CONVOLVE_TELEMETRY_ENABLED
   const std::uint64_t fused0 =
       telemetry::snapshot().counter_value("rv32.fusion.pairs");
 #endif
   {
-    TriCpu t(rv::assemble({
+    DuoCpu t(rv::assemble({
                  rv::addi(4, 0, 100),    // loop counter
                  rv::slli(1, 8, 7),      // 0x1004: rotate halves
                  rv::srli(2, 8, 25),
@@ -535,11 +523,11 @@ TEST(Rv32Engine, FusedAndUnfusedRetireIdenticalCounts) {
 #if CONVOLVE_TELEMETRY_ENABLED
   const std::uint64_t fused1 =
       telemetry::snapshot().counter_value("rv32.fusion.pairs");
-  EXPECT_GT(fused1, fused0) << "bytecode tier executed no fused pairs";
+  EXPECT_GT(fused1, fused0) << "bytecode engine executed no fused pairs";
 #endif
 }
 
-// --- Decode-cache associativity (directed regression) ------------------
+// --- Page-cache associativity (directed regression) --------------------
 
 TEST(Rv32Engine, AliasingPagesCoexistInTwoWaySet) {
   // Pages 0x1000 and 0x9000 map to the same cache set (8 sets x 4 KB).
@@ -579,9 +567,9 @@ TEST(Rv32Engine, AliasingPagesCoexistInTwoWaySet) {
 
 TEST(Rv32Engine, TruncatedTailWordFaultsNotDecodes) {
   // A machine whose memory ends mid-instruction (0x1806 bytes): executing
-  // into the 2-byte tail must raise an access fault on every tier, never
+  // into the 2-byte tail must raise an access fault on both engines, never
   // decode a partial word.
-  TriCpu t(rv::assemble({rv::addi(1, 1, 1)}), 0x1800, 0x1800,
+  DuoCpu t(rv::assemble({rv::addi(1, 1, 1)}), 0x1800, 0x1800,
            PrivMode::kMachine, 0x1806);
   const auto trap = t.run_all(10);
   ASSERT_TRUE(trap.has_value());
@@ -592,9 +580,10 @@ TEST(Rv32Engine, TruncatedTailWordFaultsNotDecodes) {
 }
 
 TEST(Rv32Engine, DefaultDecodedSlotsTrapIllegal) {
-  // The filler slots past a truncated tail are default-constructed; both
-  // decoded representations must denote an illegal instruction so a
-  // stray fetch into them traps instead of executing garbage.
+  // The filler slots past a truncated tail are default-constructed; the
+  // decoder's and the bytecode's default records must both denote an
+  // illegal instruction so a stray fetch into them traps instead of
+  // executing garbage.
   EXPECT_EQ(DecodedInsn{}.kind, OpKind::kIllegal);
   EXPECT_EQ(BcOp{}.handler, static_cast<std::uint8_t>(BcHandler::kIllegal));
 }
@@ -603,12 +592,12 @@ TEST(Rv32Engine, DefaultDecodedSlotsTrapIllegal) {
 
 TEST(Rv32Engine, SelfModifyingCodeInvalidatesDecodeCache) {
   // The program patches a nop four instructions ahead with
-  // `addi x5, x0, 42` and then executes it: the fast engines must detect
+  // `addi x5, x0, 42` and then executes it: the bytecode engine must detect
   // the store to the executable page and re-decode instead of running
   // the stale cached nop.
   const std::uint32_t patch = rv::addi(5, 0, 42);
   ASSERT_EQ(patch, 0x02a00293u);
-  TriCpu t(rv::assemble({
+  DuoCpu t(rv::assemble({
                rv::auipc(1, 0),          // 0x1000: x1 = 0x1000
                rv::lui(3, 0x02a00),      // 0x1004: x3 = patch word
                rv::addi(3, 3, 0x293),    // 0x1008
@@ -626,11 +615,11 @@ TEST(Rv32Engine, SelfModifyingCodeInvalidatesDecodeCache) {
 
 TEST(Rv32Engine, ExecutionAcrossPageBoundary) {
   // A straight-line program whose body crosses the 0x2000 page boundary:
-  // the fast engines must chain decoded pages without losing state.
+  // the bytecode engine must chain decoded pages without losing state.
   std::vector<std::uint32_t> program;
   for (int i = 0; i < 8; ++i) program.push_back(rv::addi(6, 6, 1));
   program.push_back(rv::ebreak());
-  TriCpu t(rv::assemble(program), 0x1fe8, 0x1fe8, PrivMode::kMachine);
+  DuoCpu t(rv::assemble(program), 0x1fe8, 0x1fe8, PrivMode::kMachine);
   const auto trap = t.run_all(100);
   ASSERT_TRUE(trap.has_value());
   EXPECT_EQ(trap->cause, TrapCause::kEbreak);
@@ -640,7 +629,7 @@ TEST(Rv32Engine, ExecutionAcrossPageBoundary) {
 TEST(Rv32Engine, PmpReprogramBetweenRunsIsRespected) {
   // The memoized PMP windows are keyed by the PMP epoch: revoking execute
   // permission between run() calls must fault the very next fetch.
-  TriCpu t(rv::assemble({rv::addi(1, 1, 1), rv::ecall(),
+  DuoCpu t(rv::assemble({rv::addi(1, 1, 1), rv::ecall(),
                          rv::addi(1, 1, 1), rv::ebreak()}),
            0x1000, 0x1000, PrivMode::kUser);
   PmpEntry e;
@@ -664,7 +653,7 @@ TEST(Rv32Engine, PmpReprogramBetweenRunsIsRespected) {
 TEST(Rv32Engine, MemoizedDataWindowInvalidatedOnReprogram) {
   // Load succeeds through the memoized read window, then read permission
   // is revoked: the next load must fault, not hit a stale memo.
-  TriCpu t(rv::assemble({rv::lw(3, 1, 0), rv::ecall(),
+  DuoCpu t(rv::assemble({rv::lw(3, 1, 0), rv::ecall(),
                          rv::lw(4, 1, 0), rv::ebreak()}),
            0x1000, 0x1000, PrivMode::kUser);
   PmpEntry code;
@@ -693,7 +682,7 @@ TEST(Rv32Engine, MemoizedDataWindowInvalidatedOnReprogram) {
 
 TEST(Rv32Engine, FastEnginesMatchLegacyOnStructuredLoop) {
   // The memcpy-style loop from the interpreter suite, with byte-level
-  // loads/stores: identical final state on all engines.
+  // loads/stores: identical final state on both engines.
   const auto program = rv::assemble({
       rv::lui(1, 0x3), rv::lui(2, 0x3), rv::addi(2, 2, 0x7ff),
       rv::addi(2, 2, 1), rv::addi(3, 0, 64),
@@ -701,7 +690,7 @@ TEST(Rv32Engine, FastEnginesMatchLegacyOnStructuredLoop) {
       rv::addi(2, 2, 1), rv::addi(3, 3, -1), rv::bne(3, 0, -20),
       rv::ebreak(),
   });
-  TriCpu t(program, 0x1000, 0x1000, PrivMode::kMachine);
+  DuoCpu t(program, 0x1000, 0x1000, PrivMode::kMachine);
   Bytes src(64);
   for (std::size_t i = 0; i < src.size(); ++i) {
     src[i] = static_cast<std::uint8_t>(i * 7 + 3);
