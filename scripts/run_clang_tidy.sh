@@ -2,9 +2,9 @@
 # Runs clang-tidy over the static-analyzer and TEE sources using the build
 # tree's compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is ON in the
 # top-level CMakeLists). Checks and the WarningsAsErrors promotion set come
-# from the repo-root .clang-tidy, so the check_tidy target / ctest lane
-# fails on the checks that indicate real bugs while plain warnings print
-# without breaking the lane.
+# from the repo-root .clang-tidy, so the `ctest -L tidy` test fails on
+# the checks that indicate real bugs while plain warnings print without
+# failing it.
 #
 # Exits 77 -- the ctest SKIP_RETURN_CODE -- when clang-tidy is not
 # installed, so hosts without LLVM tooling report the lane as SKIPPED

@@ -55,6 +55,7 @@ MaskedWord MaskedWord::rotl(unsigned n) const {
   MaskedWord r = *this;
   const unsigned w = width_;
   n %= w;
+  if (n == 0) return r;  // s >> w would be UB at w == 64
   for (auto& s : r.shares_) {
     s = ((s << n) | (s >> (w - n))) & mask();
   }

@@ -1,12 +1,12 @@
 // Telemetry layer: registry semantics, histogram bucketing, deterministic
 // counters under every supported thread count, chrome-trace export
-// round-trip, concurrent span recording vs export (the tsan lane), and the
-// kill-switch macros.
+// round-trip, concurrent span recording vs export (a race for tsan), the
+// kill-switch macros and the shared JSON parser.
 //
 // The file compiles in both build flavors: with CONVOLVE_TELEMETRY=OFF only
-// the macro no-op tests remain, which is itself the test -- the macros must
-// vanish without dragging any telemetry symbol into the binary (pinned by
-// the nm check in telemetry_off_smoke).
+// the macro no-op and JSON parser tests remain, which is itself the test --
+// the macros must vanish without dragging any telemetry symbol into the
+// binary (pinned by the nm check in telemetry_off_smoke).
 #include "convolve/common/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -58,6 +58,23 @@ TEST(TelemetryMacros, EventMacrosCompileBothFlavors) {
 #else
   EXPECT_EQ(evaluated, 0);
 #endif
+}
+
+// --- JSON parser (both build flavors) ---------------------------------
+// The parser recurses per nesting level; a hostile document must get a
+// typed error at the cap instead of overflowing the stack.
+TEST(JsonParse, NestingDepthIsCapped) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)),
+               json::JsonParseError);
+  EXPECT_THROW(json::parse(nested(200000)), json::JsonParseError);
+  std::string objects;
+  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(200000, '}');
+  EXPECT_THROW(json::parse(objects), json::JsonParseError);
 }
 
 #if CONVOLVE_TELEMETRY_ENABLED
@@ -161,22 +178,6 @@ TEST(TelemetrySnapshot, JsonParsesWithExpectedSections) {
   EXPECT_NE(h->find("buckets"), nullptr);
 }
 
-// The parser recurses per nesting level; a hostile document must get a
-// typed error at the cap instead of overflowing the stack.
-TEST(JsonParse, NestingDepthIsCapped) {
-  const auto nested = [](std::size_t depth) {
-    return std::string(depth, '[') + std::string(depth, ']');
-  };
-  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
-  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)),
-               json::JsonParseError);
-  EXPECT_THROW(json::parse(nested(200000)), json::JsonParseError);
-  std::string objects;
-  for (int i = 0; i < 200000; ++i) objects += "{\"a\":";
-  objects += "1" + std::string(200000, '}');
-  EXPECT_THROW(json::parse(objects), json::JsonParseError);
-}
-
 // The pool counts one pool.tasks per executed chunk, on both the serial
 // and the work-stealing path, so the delta for a fixed workload must be
 // identical at every thread count (steal balance may differ; totals not).
@@ -243,7 +244,7 @@ TEST(TelemetryTrace, ChromeTraceRoundTrip) {
 
 // Workers recording pool.task spans while another thread exports the trace:
 // the append (release count store) / export (acquire load) pair is the
-// race tsan_smoke is pointed at.
+// race a ThreadSanitizer build would report.
 TEST(TelemetryTrace, ExportConcurrentWithSpanRecording) {
   telemetry::reset_trace();
   par::ScopedThreadCount scope(4);

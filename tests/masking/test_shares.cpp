@@ -56,6 +56,12 @@ TEST_P(SharesTest, RotlActsOnValue) {
   const auto w = MaskedWord::encode(0x80000001, order, 32, rnd);
   EXPECT_EQ(w.rotl(1).decode(), 0x00000003u);
   EXPECT_EQ(w.rotl(4).decode(), 0x00000018u);
+  EXPECT_EQ(w.rotl(0).decode(), 0x80000001u);
+  EXPECT_EQ(w.rotl(32).decode(), 0x80000001u);
+  const auto w64 = MaskedWord::encode(0x8000000000000001ull, order, 64, rnd);
+  EXPECT_EQ(w64.rotl(1).decode(), 0x0000000000000003ull);
+  EXPECT_EQ(w64.rotl(0).decode(), 0x8000000000000001ull);
+  EXPECT_EQ(w64.rotl(64).decode(), 0x8000000000000001ull);
 }
 
 TEST_P(SharesTest, RefreshPreservesValueChangesShares) {

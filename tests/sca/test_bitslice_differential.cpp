@@ -10,7 +10,7 @@
 // edge-case suite in test_bitslice_lanes.cpp.
 //
 // The BitsliceSmoke-prefixed tests are a seconds-fast subset registered
-// under the `sca_fast` ctest label (the check_sca_fast lane); the Bitslice
+// under the `sca_fast` ctest label (`ctest -L sca_fast`); the Bitslice
 // tests are the full harness.
 #include <gtest/gtest.h>
 
