@@ -12,7 +12,9 @@
 // tables, so a Machine can be stamped out of a frozen MachineImage with
 // every page aliasing the image's bytes. The first write to a page copies
 // it into the fork's private backing store (see materialize_page); reads
-// and decode caches keep working on the shared bytes until then. A
+// keep working on the shared bytes until then. Decoded code is shared the
+// same way: the image carries the linked bytecode of its code pages, and
+// a fork decodes privately only the words it changes (decoded_page). A
 // non-forked Machine owns all of its pages from construction and pays no
 // extra cost beyond the one pointer indirection per access.
 #pragma once
@@ -26,6 +28,7 @@
 #include "convolve/common/bytes.hpp"
 #include "convolve/common/telemetry.hpp"
 #include "convolve/tee/pmp.hpp"
+#include "convolve/tee/rv32_decode.hpp"
 
 namespace convolve::tee {
 
@@ -80,15 +83,38 @@ class StackFrame {
   std::size_t bytes_;
 };
 
+/// A byte range [base, base + size) of machine memory.
+struct MemRange {
+  std::uint64_t base = 0;
+  std::uint64_t size = 0;
+};
+
+/// One 4 KB code page as linked bytecode (see Machine::decoded_page): the
+/// words it was decoded from and one BcOp per word slot, each already
+/// linked to its handler address. `version` is the page's store version
+/// when the words were read. Slots past a partial last page are
+/// kIllegal; the fetch bounds-faults before reaching them.
+struct DecodedPage {
+  static constexpr std::size_t kSlots = 1024;  // 32-bit words per page
+  std::uint64_t base = 0;
+  std::uint32_t version = 0;
+  std::array<std::uint32_t, kSlots> words{};
+  std::array<BcOp, kSlots> bytecode{};
+};
+
 /// Immutable frozen machine state (memory bytes, per-page store versions,
-/// PMP configuration) shared read-only by any number of CoW forks. Created
-/// via Machine::freeze(); forks alias its pages until their first write.
-/// The byte payload must never be mutated once forks exist -- forks read
-/// it concurrently without synchronization.
+/// PMP configuration, decoded code) shared read-only by any number of CoW
+/// forks. Created via Machine::freeze(); forks alias its pages until their
+/// first write and execute its code table until they change a code page.
+/// Nothing here is mutated once freeze() returns -- forks read the bytes
+/// and the code table concurrently without synchronization.
 struct MachineImage {
   std::vector<std::uint8_t> bytes;
   std::vector<std::uint32_t> page_versions;
   PmpUnit pmp;
+  // Linked bytecode of the frozen code pages, sorted by base, each stamped
+  // with its page_versions entry.
+  std::vector<DecodedPage> code;
 };
 
 class Machine {
@@ -105,8 +131,9 @@ class Machine {
 
   /// Copy-on-write fork of a frozen image: every page aliases the image
   /// until first write, page versions and the PMP configuration are
-  /// inherited, so decode caches keyed by (page, version) stay valid and
-  /// the fork starts in exactly the PMP view the image was frozen in.
+  /// inherited, so the image's code table stays valid for every page the
+  /// fork leaves alone and the fork starts in exactly the PMP view the
+  /// image was frozen in.
   explicit Machine(std::shared_ptr<const MachineImage> image);
 
 #if CONVOLVE_TELEMETRY_ENABLED
@@ -114,8 +141,11 @@ class Machine {
 #endif
 
   /// Freeze the current memory/versions/PMP into an immutable image that
-  /// CoW forks can be constructed from. Copies the memory once.
-  std::shared_ptr<const MachineImage> freeze() const;
+  /// CoW forks can be constructed from. Copies the memory once, and
+  /// decodes (once, linked) every page holding a nonzero byte inside one
+  /// of the `code` ranges into the image's shared code table.
+  std::shared_ptr<const MachineImage> freeze(
+      std::span<const MemRange> code = {}) const;
 
   /// True when this machine was forked from a MachineImage.
   bool is_fork() const { return image_ != nullptr; }
@@ -123,10 +153,12 @@ class Machine {
   /// Pages copied out of the shared image so far (0 for non-forks).
   std::uint64_t cow_pages_materialized() const { return cow_materialized_; }
 
-  /// Publish the PMP-memo miss and CoW tallies to the global telemetry
-  /// counters (rv32.pmp_memo.misses / tee.cow.pages_materialized) and zero
-  /// them. Called from the destructor; call explicitly before snapshotting
-  /// when the Machine is still alive. No-op in CONVOLVE_TELEMETRY=OFF builds.
+  /// Publish the PMP-memo miss, decode and CoW tallies to the global
+  /// telemetry counters (rv32.pmp_memo.misses, rv32.decode.shared_hits,
+  /// rv32.decode_cache.misses, rv32.decode.words_redecoded,
+  /// rv32.fusion.emitted, tee.cow.pages_materialized) and zero them.
+  /// Called from the destructor; call explicitly before snapshotting when
+  /// the Machine is still alive. No-op in CONVOLVE_TELEMETRY=OFF builds.
   void flush_telemetry() const;
 
   PmpUnit& pmp() { return pmp_; }
@@ -268,22 +300,35 @@ class Machine {
     return page_version_[addr >> kPageShift];
   }
 
-  /// Direct read-only view of a page's bytes for decode caching; the
-  /// caller is responsible for the execute-permission check per fetch.
-  /// On a fork this points into the shared image until the page is
-  /// materialized by a write (which bumps the page version, so decode
-  /// caches revalidate and pick up the new pointer).
+  /// Direct read-only view of a page's bytes. On a fork this points into
+  /// the shared image until the page is materialized by a write.
   const std::uint8_t* page_data(std::uint64_t page_base) const {
     return rpage_[page_base >> kPageShift];
   }
 
-  /// Unchecked debug access for test setup/inspection only. Writes made
-  /// through this span bypass page versioning and therefore do NOT
-  /// invalidate decoded-instruction caches. On a CoW fork this
-  /// materializes every page first (the span must be private and
-  /// contiguous); the shared image is never written through it.
+  /// Linked bytecode of the page at `page_base` (page-aligned), current
+  /// with the page's bytes. A lookup tries, in order: a private decode at
+  /// the page's current version; the image's shared decode at that
+  /// version; otherwise it refreshes a private copy of the best decode of
+  /// the page it has (private, else shared), re-decoding only the slots
+  /// whose word changed plus the slot before each (fusion reads one word
+  /// ahead). Only a page with no decode at all is decoded whole. Private
+  /// decodes live in a fully associative overlay of kOverlayPages pages,
+  /// allocated on the first miss. Bytes only: the caller checks execute
+  /// permission against the live PMP. The reference stays valid until the
+  /// next call.
+  const DecodedPage& decoded_page(std::uint64_t page_base);
+
+  /// Unchecked debug access for test setup/inspection only. Every call
+  /// bumps every page version, so decodes taken before it are revalidated
+  /// against whatever is written through the span before the next run();
+  /// writes through a span kept across a run() bypass page versioning and
+  /// are not seen by decoded code. On a CoW fork this materializes every
+  /// page first (the span must be private and contiguous); the shared
+  /// image is never written through it.
   std::span<std::uint8_t> raw_memory() {
     if (image_) materialize_all();
+    for (std::uint32_t& v : page_version_) ++v;
     return {own_.get(), size_};
   }
 
@@ -312,9 +357,19 @@ class Machine {
   PmpUnit pmp_;
   mutable std::array<PmpMemo, 3> memo_{};
   std::uint64_t cow_materialized_ = 0;
+  // Private decodes (see decoded_page). Capacity kOverlayPages is reserved
+  // on the first miss and never exceeded, so entries never move; once
+  // full, misses overwrite entries round-robin.
+  static constexpr std::size_t kOverlayPages = 16;
+  std::vector<DecodedPage> overlay_;
+  std::size_t overlay_victim_ = 0;
 #if CONVOLVE_TELEMETRY_ENABLED
   mutable std::uint64_t memo_misses_ = 0;
   mutable std::uint64_t cow_flushed_ = 0;  // cow_materialized_ published
+  mutable std::uint64_t dc_shared_hits_ = 0;  // lookups served by the image
+  mutable std::uint64_t dc_misses_ = 0;       // private page decodes
+  mutable std::uint64_t dc_words_ = 0;        // slots re-decoded
+  mutable std::uint64_t fused_emitted_ = 0;   // fused ops emitted by decode
 #endif
 
   /// Bytes page p actually covers (the last page may be partial).

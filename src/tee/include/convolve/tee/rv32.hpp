@@ -14,17 +14,21 @@
 //
 // Two execution engines share the architectural state: step() is the
 // straightforward fetch-decode-execute reference interpreter, and the
-// default bytecode engine decodes each code page once into a compact
-// bytecode stream (handler byte + packed operands, macro-op fusion of
-// lui+addi / auipc+addi / auipc+lw / cmp+branch pairs) run by a threaded
-// dispatch loop — computed-goto under GCC/Clang, dense switch elsewhere.
-// The bytecode engine is differentially tested to be bit-identical to the
-// reference, including trap cause/pc/tval and step accounting.
+// default bytecode engine runs each code page as a compact bytecode
+// stream (handler byte + packed operands + linked handler address,
+// macro-op fusion of lui+addi / auipc+addi / auipc+lw / cmp+branch pairs)
+// through a threaded dispatch loop — computed-goto under GCC/Clang, dense
+// switch elsewhere. The bytecode is not the hart's: Machine::decoded_page
+// owns it (shared from the frozen image on a fork, privately refreshed
+// word by word where the machine's bytes moved on), so an Rv32Cpu is just
+// a register file, pc, privilege mode, engine choice and tallies, and
+// constructing one allocates nothing. The bytecode engine is
+// differentially tested to be bit-identical to the reference, including
+// trap cause/pc/tval and step accounting.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "convolve/tee/machine.hpp"
@@ -62,10 +66,10 @@ class Rv32Cpu {
   ~Rv32Cpu();
 
   /// Publish this hart's telemetry tallies (rv32.instructions_retired,
-  /// rv32.decode_cache.{hits,misses,invalidations}) to the global counters
-  /// and zero them. Called from the destructor; call explicitly before
-  /// snapshotting while the hart is alive. No-op when CONVOLVE_TELEMETRY
-  /// is OFF.
+  /// rv32.bytecode.instructions, rv32.fusion.pairs) to the global counters
+  /// and zero them; decode tallies belong to the Machine. Called from the
+  /// destructor; call explicitly before snapshotting while the hart is
+  /// alive. No-op when CONVOLVE_TELEMETRY is OFF.
   void flush_telemetry();
 
   /// Execute one instruction via the reference interpreter. Returns a
@@ -80,8 +84,9 @@ class Rv32Cpu {
   };
 
   /// Run until a trap or `max_steps` instructions on the selected engine
-  /// (default: bytecode). Bytecode pages are validated against the
-  /// machine's per-page store versions, so self-modifying code re-decodes;
+  /// (default: bytecode). Bytecode pages come from Machine::decoded_page,
+  /// current with the machine's per-page store versions, so self-modifying
+  /// code re-decodes the words it changed;
   /// memory accesses are allocation-free with memoized PMP windows; nothing
   /// throws on the per-instruction path. Architectural state (registers,
   /// pc, retired count, trap cause/pc/tval) is bit-identical to
@@ -107,32 +112,12 @@ class Rv32Cpu {
   std::uint64_t instructions_retired() const { return retired_; }
 
  private:
-  // Bytecode page cache: 2-way set-associative over PC pages with a
-  // per-set 1-bit LRU. A way holds the BcOp bytecode of one 4 KB page; it
-  // is valid while the machine's store version of that page is unchanged
-  // (stores to executable regions bump it, invalidating stale decodes).
-  // Two ways per set so a pair of hot pages whose bases alias to the same
-  // set (e.g. call sites 32 KB apart) coexist instead of ping-ponging
-  // through full re-decodes.
-  static constexpr std::size_t kPageInsts =
-      Machine::kPageBytes / 4;  // 32-bit instructions only
-  struct DecodedPage {
-    std::uint64_t base = ~0ull;  // page base address; all-ones = empty
-    std::uint32_t version = 0;   // Machine::page_version at decode time
-    bool bc_linked = false;      // bytecode[].target linked to handler labels
-    std::array<BcOp, kPageInsts> bytecode{};
-  };
-  static constexpr std::size_t kCacheSets = 8;  // power of two
-  static constexpr std::size_t kCacheWays = 2;  // 16 x 4 KB of code total
-  struct CacheSet {
-    std::array<DecodedPage, kCacheWays> way{};
-    std::uint8_t mru = 0;  // most-recently-used way; miss evicts the other
-  };
-
-  DecodedPage* decoded_page(std::uint64_t page_base);
-  void decode_page_into(DecodedPage& slot, std::uint64_t page_base,
-                        std::uint32_t version);
-  RunResult run_bytecode(std::uint64_t max_steps);
+  // The bytecode engine on `cpu`. Handler labels exist only inside this
+  // function, so a null `cpu` instead hands out their address table
+  // through `handlers` (see bytecode_handlers()).
+  static RunResult run_bytecode(Rv32Cpu* cpu, std::uint64_t max_steps,
+                                const void* const** handlers);
+  friend const void* const* bytecode_handlers();
 
   Machine& machine_;
   std::uint32_t pc_;
@@ -140,17 +125,13 @@ class Rv32Cpu {
   Rv32Engine engine_ = kDefaultEngine;
   std::array<std::uint32_t, 32> x_{};
   std::uint64_t retired_ = 0;
-  std::unique_ptr<std::array<CacheSet, kCacheSets>> dcache_;
 #if CONVOLVE_TELEMETRY_ENABLED
   // Plain per-hart tallies, flushed in bulk by flush_telemetry(): the run()
   // loop must not touch an atomic per instruction (the telemetry-ON build
   // is gated to within 2% of OFF on the ALU workload).
   std::uint64_t bc_steps_ = 0;          // instructions retired via bytecode
   std::uint64_t fused_exec_ = 0;        // fused pairs executed fused
-  std::uint64_t fused_emitted_ = 0;     // fused pairs emitted at decode time
   std::uint64_t flushed_retired_ = 0;   // retired_ already published
-  std::uint64_t dc_decodes_ = 0;        // decoded_page() actually decoding
-  std::uint64_t dc_invalidations_ = 0;  // decodes caused by version bumps
 #endif
 };
 

@@ -1,9 +1,10 @@
 // Shared RV32IM instruction decoder.
 //
 // Exactly one decoder exists for the whole tree: the bytecode engine
-// (Rv32Cpu::run, which rewrites each DecodedInsn into a BcOp when it
-// decodes a page) and the static binary analyzer (analysis/rv32static
-// linear sweep) both consume DecodedInsn produced by decode_rv32() below.
+// (Machine::decoded_page and Machine::freeze rewrite each DecodedInsn into
+// the BcOp that Rv32Cpu::run dispatches) and the static binary analyzer
+// (analysis/rv32static linear sweep) both consume DecodedInsn produced by
+// decode_rv32() below.
 // Keeping the decode in one header makes divergence between "what
 // executes" and "what the analyzer reasons about" structurally impossible
 // -- a soundness precondition for the static constant-time/PMP lint,
@@ -333,11 +334,18 @@ struct BcOp {
   std::int32_t imm = 0;   // kIllegal: raw instruction word (trap tval)
   std::int32_t imm2 = 0;
   // Computed-goto builds dispatch through this direct handler address
-  // (one dependent load instead of byte -> table -> jump). Decode leaves
-  // it null -- the label addresses only exist inside run_bytecode, which
-  // links each page on first execution of its decode.
+  // (one dependent load instead of byte -> table -> jump). Page decode
+  // links it from bytecode_handlers() before the page is ever executed
+  // or shared; the dense-switch build leaves it null.
   const void* target = nullptr;
 };
+
+/// Handler addresses of the threaded bytecode engine, indexed by
+/// BcHandler: what page decode links BcOp::target to. The table is a
+/// function-local constant of the dispatch loop (label addresses exist
+/// nowhere else), so reading it from any thread is race-free. Null in the
+/// dense-switch build, which dispatches on BcOp::handler.
+const void* const* bytecode_handlers();
 
 /// Rewrite one decoded instruction into its bytecode slot. Pure
 /// rd-writing ops (LUI/AUIPC and the ALU block) with rd == x0 become kNop;

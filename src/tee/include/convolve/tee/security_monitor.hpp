@@ -61,7 +61,7 @@ class SecurityMonitor {
   /// Resume from a snapshot onto a (typically CoW-forked) machine whose
   /// PMP already carries the snapshotted plan -- the constructor adopts
   /// the enclave table and allocator state without reprogramming anything,
-  /// so forked machines keep their inherited PMP epoch and decode caches.
+  /// so forked machines keep their inherited PMP configuration and epoch.
   /// `fork_id` disambiguates seal nonces across forks sharing one
   /// snapshot: each fork's nonce space is (counter, fork_id), so two
   /// forks sealing concurrently can never collide (fork_id 0 is the

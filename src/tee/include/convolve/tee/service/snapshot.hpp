@@ -3,7 +3,8 @@
 // The service's unit of spawning is a (Machine, SecurityMonitor) pair: the
 // machine holds memory + PMP, the SM holds the logical enclave table and
 // key-derivation state. MachineSnapshot freezes both after measured boot
-// and create_enclave -- one memory copy -- and then stamps out any number
+// and create_enclave -- one memory copy, plus one linked decode of every
+// enclave code page, shared by all forks -- and then stamps out any number
 // of independent worlds with fork(): each fork's Machine aliases the
 // snapshot's pages copy-on-write (Machine's fork constructor) and its SM
 // resumes from the snapshotted logical state without touching the PMP, so
@@ -31,8 +32,9 @@ class MachineSnapshot {
  public:
   /// Freeze `machine` + `sm` as they stand (typically: after boot,
   /// create_enclave and any warm-up runs). The machine's memory is copied
-  /// once into an immutable image; the SM's logical state is captured by
-  /// value. The live objects are left untouched and stay usable.
+  /// once into an immutable image, together with the linked bytecode of
+  /// every page holding a nonzero byte inside a live enclave region; the
+  /// SM's logical state is captured by value. The live objects are left untouched and stay usable.
   static MachineSnapshot freeze(const Machine& machine,
                                 const SecurityMonitor& sm);
 

@@ -19,6 +19,63 @@ const char* access_name(AccessType t) {
 std::size_t page_count_of(std::size_t bytes) {
   return (bytes + Machine::kPageBytes - 1) >> Machine::kPageShift;
 }
+
+static_assert(DecodedPage::kSlots * 4 == Machine::kPageBytes);
+
+struct DecodeTally {
+  std::uint64_t slots = 0;  // slots re-decoded
+  std::uint64_t fused = 0;  // fused ops among them
+};
+
+// Bring `d` in line with the n whole words at `src`: re-decode each slot
+// whose word differs from d.words, plus the slot before it. A fused pair's
+// handler lives in its FIRST slot and reads the next word; the second slot
+// keeps its own unfused op, so a jump into the middle of the pair runs the
+// plain instruction. No fusion crosses the page edge. `whole` re-decodes
+// every slot, for a page with no earlier decode. Each re-decoded slot is
+// linked to its handler before anyone can execute it.
+void refresh_slots(DecodedPage& d, const std::uint8_t* src, std::size_t n,
+                   bool whole, DecodeTally& tally) {
+  const void* const* handlers = bytecode_handlers();
+  const auto link = [handlers](BcOp& op) {
+    if (handlers != nullptr) op.target = handlers[op.handler];
+  };
+  if (whole) {
+    for (std::size_t i = n; i < DecodedPage::kSlots; ++i) {
+      d.words[i] = 0;
+      d.bytecode[i] = BcOp{};
+      link(d.bytecode[i]);
+    }
+  }
+  // Downward, so slot i's look-ahead word i + 1 is already current.
+  bool next_changed = false;
+  for (std::size_t i = n; i-- > 0;) {
+    const std::uint32_t word = load_le32(src + 4 * i);
+    const bool changed = whole || word != d.words[i];
+    d.words[i] = word;
+    if (changed || next_changed) {
+      const DecodedInsn cur = decode_rv32(word);
+      BcOp op;
+      if (i + 1 < n && fuse_rv32(cur, decode_rv32(d.words[i + 1]), op)) {
+        ++tally.fused;
+      } else {
+        op = bytecode_single(cur);
+      }
+      link(op);
+      d.bytecode[i] = op;
+      ++tally.slots;
+    }
+    next_changed = changed;
+  }
+}
+
+const DecodedPage* find_code(const std::vector<DecodedPage>& code,
+                             std::uint64_t page_base) {
+  const auto it = std::lower_bound(
+      code.begin(), code.end(), page_base,
+      [](const DecodedPage& d, std::uint64_t base) { return d.base < base; });
+  return it != code.end() && it->base == page_base ? &*it : nullptr;
+}
 }  // namespace
 
 AccessFault::AccessFault(std::uint64_t addr, AccessType type)
@@ -72,7 +129,8 @@ Machine::Machine(std::shared_ptr<const MachineImage> image)
   }
 }
 
-std::shared_ptr<const MachineImage> Machine::freeze() const {
+std::shared_ptr<const MachineImage> Machine::freeze(
+    std::span<const MemRange> code) const {
   auto img = std::make_shared<MachineImage>();
   img->bytes.resize(size_);
   // Page-wise copy through the read views so freezing a fork also works
@@ -83,7 +141,75 @@ std::shared_ptr<const MachineImage> Machine::freeze() const {
   }
   img->page_versions = page_version_;
   img->pmp = pmp_;
+
+  // Code pages: every page with a nonzero byte inside a code range.
+  std::vector<std::uint64_t> pages;
+  for (const MemRange& r : code) {
+    const std::uint64_t end = std::min<std::uint64_t>(r.base + r.size, size_);
+    for (std::uint64_t a = r.base; a < end;) {
+      const std::uint64_t next = std::min(end, (a | kPageMask) + 1);
+      const std::uint8_t* b = img->bytes.data() + a;
+      if (std::any_of(b, b + (next - a),
+                      [](std::uint8_t x) { return x != 0; })) {
+        pages.push_back(a >> kPageShift);
+      }
+      a = next;
+    }
+  }
+  std::sort(pages.begin(), pages.end());
+  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
+  img->code.resize(pages.size());
+  DecodeTally tally;
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    DecodedPage& d = img->code[i];
+    d.base = pages[i] << kPageShift;
+    d.version = page_version_[pages[i]];
+    refresh_slots(d, img->bytes.data() + d.base, page_bytes_of(pages[i]) / 4,
+                  true, tally);
+  }
+  CONVOLVE_TELEMETRY_ONLY(fused_emitted_ += tally.fused;)
   return img;
+}
+
+const DecodedPage& Machine::decoded_page(std::uint64_t page_base) {
+  const std::uint32_t version = page_version(page_base);
+  DecodedPage* mine = nullptr;
+  for (DecodedPage& d : overlay_) {
+    if (d.base == page_base) {
+      mine = &d;
+      break;
+    }
+  }
+  if (mine != nullptr && mine->version == version) return *mine;
+  const DecodedPage* shared =
+      image_ ? find_code(image_->code, page_base) : nullptr;
+  if (shared != nullptr && shared->version == version) {
+    CONVOLVE_TELEMETRY_ONLY(++dc_shared_hits_;)
+    return *shared;
+  }
+
+  // Private decode: refresh the best decode of this page we have.
+  const bool whole = mine == nullptr && shared == nullptr;
+  if (mine == nullptr) {
+    if (overlay_.size() < kOverlayPages) {
+      // Reserved, not constructed: copies below write each page once.
+      if (overlay_.capacity() == 0) overlay_.reserve(kOverlayPages);
+      mine = shared ? &overlay_.emplace_back(*shared)
+                    : &overlay_.emplace_back();
+    } else {
+      mine = &overlay_[overlay_victim_];
+      overlay_victim_ = (overlay_victim_ + 1) % kOverlayPages;
+      if (shared) *mine = *shared;
+    }
+  }
+  const std::uint64_t p = page_base >> kPageShift;
+  DecodeTally tally;
+  refresh_slots(*mine, rpage_[p], page_bytes_of(p) / 4, whole, tally);
+  mine->base = page_base;
+  mine->version = version;
+  CONVOLVE_TELEMETRY_ONLY(++dc_misses_; dc_words_ += tally.slots;
+                          fused_emitted_ += tally.fused;)
+  return *mine;
 }
 
 std::uint8_t* Machine::materialize_page(std::uint64_t p) {
@@ -104,12 +230,24 @@ void Machine::materialize_all() {
 #if CONVOLVE_TELEMETRY_ENABLED
 namespace {
 telemetry::Counter t_pmp_memo_misses{"rv32.pmp_memo.misses"};
+telemetry::Counter t_dc_shared_hits{"rv32.decode.shared_hits"};
+telemetry::Counter t_dc_misses{"rv32.decode_cache.misses"};
+telemetry::Counter t_dc_words{"rv32.decode.words_redecoded"};
+telemetry::Counter t_fusion_emitted{"rv32.fusion.emitted"};
 telemetry::Counter t_cow_materialized{"tee.cow.pages_materialized"};
+
+void publish(telemetry::Counter& counter, std::uint64_t& tally) {
+  if (tally != 0) counter.add(tally);
+  tally = 0;
+}
 }  // namespace
 
 void Machine::flush_telemetry() const {
-  if (memo_misses_ != 0) t_pmp_memo_misses.add(memo_misses_);
-  memo_misses_ = 0;
+  publish(t_pmp_memo_misses, memo_misses_);
+  publish(t_dc_shared_hits, dc_shared_hits_);
+  publish(t_dc_misses, dc_misses_);
+  publish(t_dc_words, dc_words_);
+  publish(t_fusion_emitted, fused_emitted_);
   if (cow_materialized_ > cow_flushed_) {
     t_cow_materialized.add(cow_materialized_ - cow_flushed_);
     cow_flushed_ = cow_materialized_;
@@ -202,7 +340,7 @@ std::uint32_t Machine::fetch32(std::uint64_t addr, PrivMode mode) const {
 
 bool Machine::can_execute(std::uint64_t addr, std::size_t len,
                           PrivMode mode) const {
-  if (addr + len > size_) return false;
+  if (addr + len > size_ || addr + len < addr) return false;
   return pmp_.check(addr, len, mode, AccessType::kExecute);
 }
 

@@ -19,12 +19,8 @@ Rv32Cpu::Rv32Cpu(Machine& machine, std::uint32_t entry_pc, PrivMode mode)
 #if CONVOLVE_TELEMETRY_ENABLED
 namespace {
 telemetry::Counter t_retired{"rv32.instructions_retired"};
-telemetry::Counter t_dc_hits{"rv32.decode_cache.hits"};
-telemetry::Counter t_dc_misses{"rv32.decode_cache.misses"};
-telemetry::Counter t_dc_invalidations{"rv32.decode_cache.invalidations"};
 telemetry::Counter t_bc_insns{"rv32.bytecode.instructions"};
 telemetry::Counter t_fusion_pairs{"rv32.fusion.pairs"};
-telemetry::Counter t_fusion_emitted{"rv32.fusion.emitted"};
 }  // namespace
 
 Rv32Cpu::~Rv32Cpu() { flush_telemetry(); }
@@ -32,20 +28,10 @@ Rv32Cpu::~Rv32Cpu() { flush_telemetry(); }
 void Rv32Cpu::flush_telemetry() {
   t_retired.add(retired_ - flushed_retired_);
   flushed_retired_ = retired_;
-  // A "hit" is an instruction served from an already-decoded page; each
-  // decoded_page() decode corresponds to the one instruction that forced
-  // it (a miss), everything else executed cached decodes.
-  t_dc_hits.add(bc_steps_ > dc_decodes_ ? bc_steps_ - dc_decodes_ : 0);
-  t_dc_misses.add(dc_decodes_);
-  t_dc_invalidations.add(dc_invalidations_);
   t_bc_insns.add(bc_steps_);
   t_fusion_pairs.add(fused_exec_);
-  t_fusion_emitted.add(fused_emitted_);
   bc_steps_ = 0;
   fused_exec_ = 0;
-  fused_emitted_ = 0;
-  dc_decodes_ = 0;
-  dc_invalidations_ = 0;
 }
 #else
 Rv32Cpu::~Rv32Cpu() = default;
@@ -326,7 +312,7 @@ Rv32Cpu::RunResult Rv32Cpu::run_interpreted(std::uint64_t max_steps) {
 }
 
 // ---------------------------------------------------------------------
-// Engine selection and the bytecode page cache
+// Engine selection
 // ---------------------------------------------------------------------
 
 Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
@@ -335,73 +321,12 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
   // Tally outside run_bytecode so the hot loop never touches the member
   // (even an RAII reference to the result forces the step counter into
   // memory and costs double-digit throughput).
-  RunResult r = run_bytecode(max_steps);
+  RunResult r = run_bytecode(this, max_steps, nullptr);
   bc_steps_ += r.steps;
   return r;
 #else
-  return run_bytecode(max_steps);
+  return run_bytecode(this, max_steps, nullptr);
 #endif
-}
-
-void Rv32Cpu::decode_page_into(DecodedPage& slot, std::uint64_t page_base,
-                               std::uint32_t version) {
-  // (Re-)decode the page's words straight from memory into bytecode. This
-  // caches code *bytes*, not permissions: the execute-permission check
-  // still happens against the live PMP state (see run_bytecode's resync).
-  const std::uint8_t* bytes = machine_.page_data(page_base);
-  const std::uint64_t page_bytes =
-      std::min<std::uint64_t>(Machine::kPageBytes,
-                              machine_.memory_size() - page_base);
-  const std::size_t n_insts = static_cast<std::size_t>(page_bytes / 4);
-  // Fusion pass over a sliding (current, next) decode window. A fused
-  // handler lives in the FIRST slot of its pair; the second slot keeps its
-  // own unfused bytecode so a jump into the middle of the pair executes
-  // the plain instruction. No fusion across the page edge: the second
-  // component must be decoded (and version-tracked) in this same page.
-  DecodedInsn next{};
-  if (n_insts > 0) next = decode_rv32(load_le32(bytes));
-  for (std::size_t i = 0; i < n_insts; ++i) {
-    const DecodedInsn cur = next;
-    const bool has_next = i + 1 < n_insts;
-    if (has_next) next = decode_rv32(load_le32(bytes + 4 * (i + 1)));
-    BcOp op;
-    if (has_next && fuse_rv32(cur, next, op)) {
-      CONVOLVE_TELEMETRY_ONLY(++fused_emitted_;)
-    } else {
-      op = bytecode_single(cur);
-    }
-    slot.bytecode[i] = op;
-  }
-  // Slots past a partial last page stay kIllegal (tval 0); they are
-  // unreachable because the fetch bounds-faults first.
-  for (std::size_t i = n_insts; i < kPageInsts; ++i) {
-    slot.bytecode[i] = BcOp{};
-  }
-  slot.base = page_base;
-  slot.version = version;
-  slot.bc_linked = false;
-}
-
-Rv32Cpu::DecodedPage* Rv32Cpu::decoded_page(std::uint64_t page_base) {
-  CacheSet& set =
-      (*dcache_)[(page_base >> Machine::kPageShift) & (kCacheSets - 1)];
-  const std::uint32_t version = machine_.page_version(page_base);
-  for (std::size_t w = 0; w < kCacheWays; ++w) {
-    DecodedPage& p = set.way[w];
-    if (p.base != page_base) continue;
-    set.mru = static_cast<std::uint8_t>(w);
-    if (p.version == version) return &p;
-    // Stale decode of this page (self-modifying code): refresh in place.
-    CONVOLVE_TELEMETRY_ONLY(++dc_decodes_; ++dc_invalidations_;)
-    decode_page_into(p, page_base, version);
-    return &p;
-  }
-  // Miss: evict the least-recently-used way of the set.
-  DecodedPage& victim = set.way[set.mru ^ 1u];
-  CONVOLVE_TELEMETRY_ONLY(++dc_decodes_;)
-  decode_page_into(victim, page_base, version);
-  set.mru ^= 1u;
-  return &victim;
 }
 
 // ---------------------------------------------------------------------
@@ -559,24 +484,9 @@ Rv32Cpu::DecodedPage* Rv32Cpu::decoded_page(std::uint64_t page_base) {
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("no-gcse", "no-crossjumping")))
 #endif
-Rv32Cpu::RunResult Rv32Cpu::run_bytecode(std::uint64_t max_steps) {
-  if (!dcache_) dcache_ = std::make_unique<std::array<CacheSet, kCacheSets>>();
-  RunResult result;
-
-  Machine& m = machine_;
-  const PrivMode mode = mode_;
-  std::uint32_t* const xr = x_.data();
-  std::uint32_t pc = pc_;
-  std::uint64_t fuel = max_steps;      // remaining step budget
-  std::uint64_t pub_fuel = max_steps;  // fuel at the last retired_ publish
-  std::uint64_t fused_n = 0;
-
-  const BcOp* ops = nullptr;
-  const BcOp* op = nullptr;
-  std::uint64_t page_base = 0;
-  std::uint64_t wlo = 0, whi = 0, wspan = 0;
-  std::uint32_t version = 0;
-
+Rv32Cpu::RunResult Rv32Cpu::run_bytecode(Rv32Cpu* self,
+                                         std::uint64_t max_steps,
+                                         const void* const** handlers) {
 #if CONVOLVE_BC_THREADED
   // Handler table in exact BcHandler order (see static_assert below).
   static const void* const kLabels[] = {
@@ -603,7 +513,32 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(std::uint64_t max_steps) {
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBcHandlerCount,
                 "dispatch table must cover every BcHandler");
+  if (self == nullptr) {
+    *handlers = kLabels;
+    return {};
+  }
+#else
+  if (self == nullptr) {
+    *handlers = nullptr;
+    return {};
+  }
 #endif
+  Rv32Cpu& cpu = *self;
+  RunResult result;
+
+  Machine& m = cpu.machine_;
+  const PrivMode mode = cpu.mode_;
+  std::uint32_t* const xr = cpu.x_.data();
+  std::uint32_t pc = cpu.pc_;
+  std::uint64_t fuel = max_steps;      // remaining step budget
+  std::uint64_t pub_fuel = max_steps;  // fuel at the last retired_ publish
+  std::uint64_t fused_n = 0;
+
+  const BcOp* ops = nullptr;
+  const BcOp* op = nullptr;
+  std::uint64_t page_base = 0;
+  std::uint64_t wlo = 0, whi = 0, wspan = 0;
+  std::uint32_t version = 0;
 
 outer:
   // Full resync: alignment, execute permission, decoded page, validated
@@ -621,17 +556,9 @@ outer:
       goto trap_at_pc;
     }
     page_base = pc & ~static_cast<std::uint64_t>(Machine::kPageBytes - 1);
-    DecodedPage* page = decoded_page(page_base);
-#if CONVOLVE_BC_THREADED
-    if (!page->bc_linked) {
-      // Link handler bytes to label addresses; decode itself is
-      // engine-agnostic and the addresses only exist in this function.
-      for (BcOp& b : page->bytecode) b.target = kLabels[b.handler];
-      page->bc_linked = true;
-    }
-#endif
-    ops = page->bytecode.data();
-    version = page->version;
+    const DecodedPage& page = m.decoded_page(page_base);
+    ops = page.bytecode.data();
+    version = page.version;
     // Clamp the window to this page and round inward to whole words. Only
     // 4-byte-aligned slots fully inside [wlo, whi) are dispatched, which
     // also keeps the partial-tail filler slots of a non-4-byte-aligned
@@ -985,8 +912,8 @@ dispatch_top:
     if (!m.read32(addr, mode, v)) {
       // Second component faults: the auipc has retired, the trap is the
       // lw's own (pc + 4, faulting address), pc_ rests on the lw.
-      pc_ = pc + 4;
-      retired_ += pub_fuel - fuel + 1;
+      cpu.pc_ = pc + 4;
+      cpu.retired_ += pub_fuel - fuel + 1;
       result.steps = max_steps - fuel + 2;
       result.trap = Trap{TrapCause::kLoadAccessFault, pc + 4, addr};
       goto tally;
@@ -1112,11 +1039,11 @@ scalar_one:
   // whole; the oracle executes the first component with its own
   // semantics, and the next outer entry handles whatever follows —
   // including the second component faulting on its own.
-  pc_ = pc;
-  retired_ += pub_fuel - fuel;
+  cpu.pc_ = pc;
+  cpu.retired_ += pub_fuel - fuel;
   pub_fuel = fuel;
   {
-    const auto trap = step();
+    const auto trap = cpu.step();
     if (trap) {
       result.trap = *trap;
       result.steps = max_steps - fuel + 1;
@@ -1125,33 +1052,33 @@ scalar_one:
   }
   --fuel;
   pub_fuel = fuel;
-  pc = pc_;
+  pc = cpu.pc_;
   goto outer;
 
 env_exit:  // ecall/ebreak: retire, advance past the instruction
-  pc_ = pc + 4;
-  retired_ += pub_fuel - fuel + 1;
+  cpu.pc_ = pc + 4;
+  cpu.retired_ += pub_fuel - fuel + 1;
   result.steps = max_steps - fuel + 1;
   goto tally;
 
 trap_at_pc:  // non-retiring trap: pc_ stays on the trapping instruction
-  pc_ = pc;
-  retired_ += pub_fuel - fuel;
+  cpu.pc_ = pc;
+  cpu.retired_ += pub_fuel - fuel;
   result.steps = max_steps - fuel + 1;
   goto tally;
 
 sync_outer:  // leave the dispatch loop, keep executing via a fresh window
-  pc_ = pc;
+  cpu.pc_ = pc;
   goto outer;
 
 budget_exit:
-  pc_ = pc;
-  retired_ += pub_fuel - fuel;
+  cpu.pc_ = pc;
+  cpu.retired_ += pub_fuel - fuel;
   result.steps = max_steps - fuel;
   goto tally;
 
 tally:
-  CONVOLVE_TELEMETRY_ONLY(fused_exec_ += fused_n;)
+  CONVOLVE_TELEMETRY_ONLY(cpu.fused_exec_ += fused_n;)
   (void)fused_n;
   return result;
 }
@@ -1165,6 +1092,12 @@ tally:
 #undef BC_FUSED_TAIL
 #undef BC_FUSED_BRANCH_TAIL
 #undef BC_FUSED_CMP_BRANCH
+
+const void* const* bytecode_handlers() {
+  const void* const* table = nullptr;
+  Rv32Cpu::run_bytecode(nullptr, 0, &table);
+  return table;
+}
 
 // ---------------------------------------------------------------------
 // Encoders

@@ -98,8 +98,7 @@ SecurityMonitor::SecurityMonitor(Machine& machine, const SmSnapshot& snap,
       fork_id_(fork_id) {
   // Deliberately no PMP writes: the forked machine's PMP is a copy of the
   // snapshotted plan already (Machine fork inherits it), and leaving it
-  // untouched keeps the inherited PMP epoch -- so decode caches and PMP
-  // memos carried over from the image stay valid.
+  // untouched keeps the inherited PMP epoch.
 }
 
 SmSnapshot SecurityMonitor::snapshot() const {

@@ -1,10 +1,17 @@
 #include "convolve/tee/service/snapshot.hpp"
 
+#include <vector>
+
 namespace convolve::tee::service {
 
 MachineSnapshot MachineSnapshot::freeze(const Machine& machine,
                                         const SecurityMonitor& sm) {
-  return MachineSnapshot(machine.freeze(), sm.snapshot());
+  SmSnapshot state = sm.snapshot();
+  std::vector<MemRange> code;
+  for (const SecurityMonitor::Enclave& e : state.enclaves) {
+    if (e.alive) code.push_back({e.base, e.size});
+  }
+  return MachineSnapshot(machine.freeze(code), std::move(state));
 }
 
 EnclaveWorld MachineSnapshot::fork(std::uint32_t fork_id) const {

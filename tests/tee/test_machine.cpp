@@ -77,6 +77,15 @@ TEST(Machine, OutOfBoundsFaultsCarryRealAccessType) {
   }
 }
 
+TEST(Machine, CanExecuteRejectsWrappingRange) {
+  // addr + len wraps past 2^64: the range is out of bounds, exactly as
+  // the fetch on the same address faults.
+  Machine m(64 * 1024);
+  EXPECT_FALSE(m.can_execute(~0ull, 2, PrivMode::kMachine));
+  EXPECT_THROW(m.fetch32(~0ull, PrivMode::kMachine), AccessFault);
+  EXPECT_TRUE(m.can_execute(0x100, 4, PrivMode::kMachine));
+}
+
 TEST(Machine, FillMatchesStoreSemantics) {
   Machine m(64 * 1024);
   m.fill(0x200, 64, 0xAB, PrivMode::kMachine);
@@ -309,6 +318,36 @@ TEST(MachineCow, RawMemoryMaterializesEverything) {
   // The span is private: writing through it never reaches the image.
   ram[0x100] = 0xB1;
   EXPECT_EQ(image->bytes[0x100], 0xA1);
+}
+
+TEST(MachineCow, FreezeDecodesEachNonzeroCodePageOnce) {
+  // Code ranges [0x1000, 0x4000) and [0x3800, 0x3900): page 0x2000 is all
+  // zero and page 0x5000 lies outside both ranges, so only pages 0x1000
+  // and 0x3000 (named twice) land in the table, each once, stamped with
+  // its version.
+  Machine master(64 * 1024);
+  master.store(0x1000, Bytes{0x13, 0, 0, 0}, PrivMode::kMachine);
+  master.store(0x3804, Bytes{0x73, 0, 0, 0}, PrivMode::kMachine);
+  master.store(0x5000, Bytes{0x13, 0, 0, 0}, PrivMode::kMachine);
+  const MemRange code[] = {{0x1000, 0x3000}, {0x3800, 0x100}};
+  const auto image = master.freeze(code);
+  ASSERT_EQ(image->code.size(), 2u);
+  EXPECT_EQ(image->code[0].base, 0x1000u);
+  EXPECT_EQ(image->code[1].base, 0x3000u);
+  EXPECT_EQ(image->code[0].version, master.page_version(0x1000));
+  EXPECT_EQ(image->code[1].version, master.page_version(0x3000));
+  EXPECT_EQ(image->code[1].words[0x804 / 4], 0x73u);
+
+  // A fork executes the shared decode until it writes the page; then it
+  // gets a private, refreshed copy and the image's decode stays put.
+  Machine fork(image);
+  EXPECT_EQ(&fork.decoded_page(0x1000), &image->code[0]);
+  fork.store(0x1004, Bytes{0x73, 0, 0, 0}, PrivMode::kMachine);
+  const DecodedPage& mine = fork.decoded_page(0x1000);
+  EXPECT_NE(&mine, &image->code[0]);
+  EXPECT_EQ(mine.words[1], 0x73u);
+  EXPECT_EQ(image->code[0].words[1], 0u);
+  EXPECT_EQ(mine.bytecode[2].handler, image->code[0].bytecode[2].handler);
 }
 
 TEST(MachineCow, FreezingAForkCapturesItsDivergedState) {

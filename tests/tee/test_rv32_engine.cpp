@@ -41,6 +41,21 @@ struct DuoCpu {
     bc->set_engine(Rv32Engine::kBytecode);
   }
 
+  // Both machines forked from one frozen image, so the bytecode engine
+  // starts on the image's shared decode.
+  DuoCpu(const std::shared_ptr<const MachineImage>& image, std::uint32_t entry,
+         PrivMode mode)
+      : ref_machine(image), bc_machine(image) {
+    ref = std::make_unique<Rv32Cpu>(ref_machine, entry, mode);
+    bc = std::make_unique<Rv32Cpu>(bc_machine, entry, mode);
+    bc->set_engine(Rv32Engine::kBytecode);
+  }
+
+  void set_pc(std::uint32_t pc) {
+    ref->set_pc(pc);
+    bc->set_pc(pc);
+  }
+
   void set_pmp(int index, const PmpEntry& e) {
     ref_machine.pmp().set_entry(index, e);
     bc_machine.pmp().set_entry(index, e);
@@ -527,13 +542,12 @@ TEST(Rv32Engine, FusedAndUnfusedRetireIdenticalCounts) {
 #endif
 }
 
-// --- Page-cache associativity (directed regression) --------------------
+// --- Decode overlay and word-granular refresh (directed) ---------------
 
-TEST(Rv32Engine, AliasingPagesCoexistInTwoWaySet) {
-  // Pages 0x1000 and 0x9000 map to the same cache set (8 sets x 4 KB).
-  // A call loop ping-ponging between them must decode each page exactly
-  // once — the direct-mapped cache this regression pins against evicted
-  // on every transfer and re-decoded ~2N times.
+TEST(Rv32Engine, AliasingPagesDecodeOnceEach) {
+  // Pages 0x1000 and 0x9000 are 32 KB apart (they shared a set in the old
+  // set-associative page cache). A call loop ping-ponging between them
+  // must decode each page exactly once, not re-decode ~2N times.
   Machine m(kMemBytes);
   m.store(0x1000,
           rv::assemble({
@@ -545,6 +559,7 @@ TEST(Rv32Engine, AliasingPagesCoexistInTwoWaySet) {
           PrivMode::kMachine);
   m.store(0x9000, rv::assemble({rv::jalr(0, 1, 0)}), PrivMode::kMachine);
 #if CONVOLVE_TELEMETRY_ENABLED
+  m.flush_telemetry();
   const std::uint64_t misses0 =
       telemetry::snapshot().counter_value("rv32.decode_cache.misses");
 #endif
@@ -554,14 +569,195 @@ TEST(Rv32Engine, AliasingPagesCoexistInTwoWaySet) {
   ASSERT_TRUE(result.trap.has_value());
   EXPECT_EQ(result.trap->cause, TrapCause::kEbreak);
   EXPECT_EQ(cpu.reg(5), 0u);
-  cpu.flush_telemetry();
 #if CONVOLVE_TELEMETRY_ENABLED
+  m.flush_telemetry();
   const std::uint64_t misses1 =
       telemetry::snapshot().counter_value("rv32.decode_cache.misses");
   EXPECT_EQ(misses1 - misses0, 2u)
       << "aliasing pages should decode once each, not ping-pong";
 #endif
 }
+
+// The run_short request shape on one page: sum 64 input bytes staged at
+// page + 0x600, store the sum at page + 0x700, ebreak.
+std::vector<std::uint32_t> staged_sum_program() {
+  return {
+      rv::auipc(6, 0),          // x6 = page base
+      rv::addi(5, 0, 0),
+      rv::addi(7, 0, 0),
+      rv::addi(8, 0, 64),
+      rv::add(9, 6, 7),         // loop:
+      rv::lbu(10, 9, 0x600),
+      rv::add(5, 5, 10),
+      rv::addi(7, 7, 1),
+      rv::bne(7, 8, -16),
+      rv::sw(5, 6, 0x700),
+      rv::ebreak(),
+  };
+}
+
+Bytes staged_input(std::uint8_t salt) {
+  Bytes in(64);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::uint8_t>(1 + ((i * 37 + salt) % 200));
+  }
+  return in;
+}
+
+std::uint32_t byte_sum(const Bytes& in) {
+  std::uint32_t sum = 0;
+  for (const std::uint8_t b : in) sum += b;
+  return sum;
+}
+
+std::shared_ptr<const MachineImage> frozen_program(const Bytes& program,
+                                                   std::uint32_t load_addr) {
+  Machine master(kMemBytes);
+  master.store(load_addr, program, PrivMode::kMachine);
+  const MemRange code{load_addr, program.size()};
+  return master.freeze(std::span<const MemRange>(&code, 1));
+}
+
+// A lock-step pair on plain machines (`fork` false) or on two forks of a
+// frozen image whose code table holds the program's pages.
+std::unique_ptr<DuoCpu> make_duo(bool fork, const Bytes& program,
+                                 std::uint32_t load_addr) {
+  if (fork) {
+    return std::make_unique<DuoCpu>(frozen_program(program, load_addr),
+                                    load_addr, PrivMode::kMachine);
+  }
+  return std::make_unique<DuoCpu>(program, load_addr, load_addr,
+                                  PrivMode::kMachine);
+}
+
+TEST(Rv32Engine, RefreshDataStagedIntoCodePageMatchesInterpreter) {
+  for (const bool fork : {false, true}) {
+    SCOPED_TRACE(fork ? "fork" : "plain");
+    auto t = make_duo(fork, rv::assemble(staged_sum_program()), 0x1000);
+    for (std::uint8_t salt : {0, 5, 5, 9}) {
+      const Bytes in = staged_input(salt);
+      t->store_all(0x1600, in);
+      t->set_pc(0x1000);
+      const auto trap = t->run_all(2000);
+      ASSERT_TRUE(trap.has_value());
+      EXPECT_EQ(trap->cause, TrapCause::kEbreak);
+      EXPECT_EQ(t->bc_machine.load(0x1700, 4, PrivMode::kMachine),
+                t->ref_machine.load(0x1700, 4, PrivMode::kMachine));
+      EXPECT_EQ(t->bc->reg(5), byte_sum(in));
+    }
+  }
+}
+
+TEST(Rv32Engine, RefreshPatchedSecondHalfOfFusedPairRedecodesFirstHalf) {
+  // lui+addi fuse into slot 0. Patching only the addi word (slot 1) must
+  // re-decode slot 0 too, or the stale fused immediate would run.
+  for (const bool fork : {false, true}) {
+    SCOPED_TRACE(fork ? "fork" : "plain");
+    auto t = make_duo(fork,
+                      rv::assemble({rv::lui(1, 0x12345),
+                                    rv::addi(2, 1, 0x678), rv::ebreak()}),
+                      0x1000);
+    ASSERT_TRUE(t->run_all(10).has_value());
+    EXPECT_EQ(t->bc->reg(2), 0x12345678u);
+    t->store_all(0x1004, rv::assemble({rv::addi(2, 1, 0x123)}));
+    t->set_pc(0x1000);
+    ASSERT_TRUE(t->run_all(10).has_value());
+    EXPECT_EQ(t->bc->reg(2), 0x12345123u);
+  }
+}
+
+TEST(Rv32Engine, RefreshPatchedLastSlotDoesNotFuseAcrossPageEdge) {
+  // Slot 1023 of page 0x1000 is patched to a lui whose fusible addi
+  // partner sits in slot 0 of the next page: the refresh must decode it
+  // unfused, and both pages keep executing in lock-step.
+  for (const bool fork : {false, true}) {
+    SCOPED_TRACE(fork ? "fork" : "plain");
+    auto t = make_duo(fork,
+                      rv::assemble({rv::addi(3, 0, 7),       // 0x1ff8
+                                    rv::nop(),               // 0x1ffc
+                                    rv::addi(2, 2, 0x678),   // 0x2000
+                                    rv::ebreak()}),          // 0x2004
+                      0x1ff8);
+    ASSERT_TRUE(t->run_all(10).has_value());
+    EXPECT_EQ(t->bc->reg(2), 0x678u);
+    t->store_all(0x1ffc, rv::assemble({rv::lui(2, 0x12345)}));
+    t->set_pc(0x1ff8);
+    const auto trap = t->run_all(10);
+    ASSERT_TRUE(trap.has_value());
+    EXPECT_EQ(trap->cause, TrapCause::kEbreak);
+    EXPECT_EQ(t->bc->reg(2), 0x12345678u);
+  }
+}
+
+TEST(Rv32Engine, RefreshWordWrittenBackToOriginalValue) {
+  // Patch a word, run, write the original back, run: each run must see
+  // the bytes in memory, including a store that changes nothing.
+  for (const bool fork : {false, true}) {
+    SCOPED_TRACE(fork ? "fork" : "plain");
+    const Bytes original = rv::assemble({rv::addi(5, 0, 11)});
+    auto t = make_duo(fork,
+                      rv::assemble({rv::addi(5, 0, 11), rv::ebreak()}),
+                      0x1000);
+    const Bytes patched = rv::assemble({rv::addi(5, 0, 22)});
+    for (const Bytes* word : {&original, &patched, &original, &original}) {
+      t->store_all(0x1000, *word);
+      t->set_pc(0x1000);
+      ASSERT_TRUE(t->run_all(10).has_value());
+      EXPECT_EQ(t->bc->reg(5), word == &patched ? 22u : 11u);
+    }
+  }
+}
+
+#if CONVOLVE_TELEMETRY_ENABLED
+TEST(Rv32Engine, ForkRefreshRedecodesOnlyChangedWords) {
+  // The run_short shape on a fork: a fresh fork executes the image's
+  // shared decode; staging input copies it and re-decodes the 16 staged
+  // words plus the slot before them; the result store re-decodes its own
+  // slot plus one; rewriting identical bytes re-decodes nothing.
+  const auto image = frozen_program(rv::assemble(staged_sum_program()), 0x1000);
+  ASSERT_EQ(image->code.size(), 1u);
+  struct Tally {
+    std::uint64_t shared = 0, misses = 0, words = 0;
+  };
+  const auto tally = [] {
+    const auto snap = telemetry::snapshot();
+    return Tally{snap.counter_value("rv32.decode.shared_hits"),
+                 snap.counter_value("rv32.decode_cache.misses"),
+                 snap.counter_value("rv32.decode.words_redecoded")};
+  };
+  const auto run_delta = [&](Machine& m, std::uint64_t steps) {
+    m.flush_telemetry();
+    const Tally before = tally();
+    Rv32Cpu cpu(m, 0x1000, PrivMode::kMachine);
+    cpu.run(steps);
+    m.flush_telemetry();
+    const Tally after = tally();
+    return Tally{after.shared - before.shared, after.misses - before.misses,
+                 after.words - before.words};
+  };
+
+  Machine fresh(image);
+  Tally d = run_delta(fresh, 1);
+  EXPECT_EQ(d.shared, 1u);
+  EXPECT_EQ(d.misses, 0u);
+  EXPECT_EQ(&fresh.decoded_page(0x1000), &image->code[0]);
+
+  Machine fork(image);
+  const Bytes in = staged_input(3);
+  fork.store(0x1600, in, PrivMode::kMachine);
+  d = run_delta(fork, 2000);
+  EXPECT_EQ(d.shared, 0u);
+  EXPECT_EQ(d.misses, 2u);        // staged input, then the result store
+  EXPECT_EQ(d.words, 16u + 1u + 2u);
+  EXPECT_EQ(fork.load(0x1700, 4, PrivMode::kMachine),
+            rv::assemble({byte_sum(in)}));
+
+  fork.store(0x1600, in, PrivMode::kMachine);  // same bytes again
+  d = run_delta(fork, 2000);
+  EXPECT_EQ(d.misses, 2u);
+  EXPECT_EQ(d.words, 0u);
+}
+#endif
 
 // --- Non-4-byte-aligned memory tail ------------------------------------
 

@@ -120,6 +120,54 @@ TEST(ForkIsolation, FuzzedForkRunCycles) {
   EXPECT_EQ(lab.snapshot->image().page_versions, versions_before);
 }
 
+// FNV-1a over every shared decoded page: base, version, source words and
+// each bytecode slot field by field (BcOp has padding).
+std::uint64_t hash_code_table(const MachineImage& image) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  for (const DecodedPage& d : image.code) {
+    mix(d.base);
+    mix(d.version);
+    for (const std::uint32_t w : d.words) mix(w);
+    for (const BcOp& op : d.bytecode) {
+      mix(op.handler | (op.rd << 8) | (op.rs1 << 16) |
+          (static_cast<std::uint64_t>(op.rs2) << 24));
+      mix(static_cast<std::uint32_t>(op.imm));
+      mix(static_cast<std::uint32_t>(op.imm2));
+      mix(reinterpret_cast<std::uintptr_t>(op.target));
+    }
+  }
+  return h;
+}
+
+TEST(ForkIsolation, FrozenCodeTableNeverWrittenByConcurrentForks) {
+  // Every fork copies the shared decode of its code page and patches its
+  // copy (the program rewrites itself); run them concurrently on the pool
+  // and the frozen table must hash the same afterwards.
+  ForkLab lab;
+  const MachineImage& image = lab.snapshot->image();
+  ASSERT_FALSE(image.code.empty());
+  const std::uint64_t before = hash_code_table(image);
+  Xoshiro256 rng(0x5EED7AB1E);
+  constexpr int kForks = 256;
+  std::vector<std::int32_t> ks(kForks);
+  for (auto& k : ks) k = static_cast<std::int32_t>(rng.uniform(2048));
+  std::vector<ForkOutcome> outs(kForks);
+  par::ScopedThreadCount guard(4);
+  par::parallel_for(kForks, [&](std::uint64_t i) {
+    outs[i] = run_fork(lab, static_cast<std::uint32_t>(i + 1), ks[i]);
+  });
+  for (int i = 0; i < kForks; ++i) {
+    ASSERT_TRUE(outs[i].ecall) << i;
+    ASSERT_EQ(outs[i].result, static_cast<std::uint32_t>(ks[i])) << i;
+  }
+  EXPECT_EQ(hash_code_table(image), before);
+}
+
 TEST(ForkIsolation, ConcurrentForksMatchSerialBitExactly) {
   ForkLab lab;
   Xoshiro256 rng(0xCAFE0);
