@@ -27,6 +27,15 @@ void BM_Sha3_256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha3_256_1KiB);
 
+// The enclave measurement in create_enclave: SHA3-512 of a 256 KiB image.
+void BM_Sha3_512_256KiB(benchmark::State& state) {
+  const Bytes data(256 * 1024, 0x5a);
+  for (auto _ : state) benchmark::DoNotOptimize(sha3_512(data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Sha3_512_256KiB);
+
 void BM_Sha512_1KiB(benchmark::State& state) {
   const Bytes data(1024, 0x5a);
   for (auto _ : state) benchmark::DoNotOptimize(sha512(data));
@@ -43,6 +52,18 @@ void BM_Aes256_Block(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Aes256_Block);
+
+// Bitsliced CTR: 64 B is one partial batch, 4096 B four full ones.
+void BM_Aes256Ctr(benchmark::State& state) {
+  const Bytes key(32, 1), nonce(12, 2);
+  const Bytes data(static_cast<std::size_t>(state.range(0)), 0x33);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aes256_ctr(key, nonce, 0, data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Aes256Ctr)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_ChaCha20_1KiB(benchmark::State& state) {
   const Bytes key(32, 2), nonce(12, 3), data(1024, 0);
@@ -97,13 +118,15 @@ void BM_MlKem512_EncapsDecaps(benchmark::State& state) {
 }
 BENCHMARK(BM_MlKem512_EncapsDecaps);
 
-void BM_Seal_4KiB(benchmark::State& state) {
-  const Bytes key(32, 10), nonce(12, 11), data(4096, 0x33);
+void BM_Seal(benchmark::State& state) {
+  const Bytes key(32, 10), nonce(12, 11);
+  const Bytes data(static_cast<std::size_t>(state.range(0)), 0x33);
   for (auto _ : state) {
     benchmark::DoNotOptimize(aead_seal(key, nonce, data, {}));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_Seal_4KiB);
+BENCHMARK(BM_Seal)->Arg(64)->Arg(1024)->Arg(4096);
 
 }  // namespace

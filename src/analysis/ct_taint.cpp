@@ -148,10 +148,32 @@ LintResult lint_aes256() {
                           tback.data());
   }
 
+  // The production CTR core: secret round-key planes over two batches,
+  // the second one partial and ending mid-block.
+  std::array<std::uint8_t, 12> nonce{};
+  for (std::size_t i = 0; i < nonce.size(); ++i) nonce[i] = pattern(i, 0x35);
+  std::vector<std::uint8_t> msg(cd::kAesBatchBlocks * 16 + 37);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = pattern(i, 0x4b);
+  const std::uint32_t counter = 7;
+  std::vector<T8> tmsg_ct(msg.size());
+  {
+    TaintScope s("ctr");
+    std::array<T64, 15 * 128> rk_planes;
+    cd::aes_round_key_planes(round_keys.data(), aes.rounds(),
+                             rk_planes.data());
+    cd::aes_ctr_xor(rk_planes.data(), aes.rounds(), nonce.data(), counter,
+                    msg.data(), tmsg_ct.data(), msg.size());
+  }
+  const Bytes want_msg_ct = crypto::aes256_ctr(key, nonce, counter, msg);
+
   bool matches = true;
   for (std::size_t i = 0; i < 16; ++i) {
     matches = matches && tct[i].value() == want_ct[i] && tct[i].tainted();
     matches = matches && tback[i].value() == pt[i];
+  }
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    matches = matches && tmsg_ct[i].value() == want_msg_ct[i] &&
+              tmsg_ct[i].tainted();
   }
   return finish("aes256", guard.sink(), matches);
 }

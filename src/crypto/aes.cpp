@@ -1,6 +1,5 @@
 #include "convolve/crypto/aes.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "convolve/crypto/detail/aes_core.hpp"
@@ -90,20 +89,21 @@ Bytes aes256_ctr(ByteView key, ByteView nonce, std::uint32_t initial_counter,
   if (nonce.size() != 12) {
     throw std::invalid_argument("aes256_ctr: nonce must be 12 bytes");
   }
-  const Aes aes(Aes::KeySize::k256, key);
-  Bytes out(data.begin(), data.end());
-  std::uint8_t counter_block[16];
-  std::memcpy(counter_block, nonce.data(), 12);
-  std::uint32_t ctr = initial_counter;
-  std::size_t off = 0;
-  while (off < out.size()) {
-    store_be32(counter_block + 12, ctr++);
-    std::uint8_t keystream[16];
-    aes.encrypt_block(counter_block, keystream);
-    const std::size_t n = std::min<std::size_t>(16, out.size() - off);
-    for (std::size_t i = 0; i < n; ++i) out[off + i] ^= keystream[i];
-    off += n;
+  const std::uint64_t blocks = data.size() / 16 + (data.size() % 16 != 0);
+  if (initial_counter + blocks > (std::uint64_t{1} << 32)) {
+    throw std::invalid_argument("aes256_ctr: 32-bit block counter would wrap");
   }
+  if (key.size() != 32) {
+    throw std::invalid_argument("aes256_ctr: key must be 32 bytes");
+  }
+  constexpr int kRounds = 14;
+  std::array<std::uint8_t, 16 * (kRounds + 1)> round_keys;
+  detail::aes_key_expand(key.data(), 8, kRounds, round_keys.data());
+  std::array<std::uint64_t, 128 * (kRounds + 1)> rk_planes;
+  detail::aes_round_key_planes(round_keys.data(), kRounds, rk_planes.data());
+  Bytes out(data.begin(), data.end());
+  detail::aes_ctr_xor(rk_planes.data(), kRounds, nonce.data(), initial_counter,
+                      out.data(), out.data(), out.size());
   return out;
 }
 

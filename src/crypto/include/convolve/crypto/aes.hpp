@@ -4,9 +4,12 @@
 // Table II of the paper targets exactly this algorithm); the TEE's data
 // sealing builds an encrypt-then-MAC AEAD on top of AES-256-CTR. The S-box
 // table is computed at static-init time from the GF(2^8) inverse so it is
-// derived, not transcribed; the cipher itself is constant-time: SubBytes
-// runs the bitsliced Boyar-Peralta circuit and the inverse S-box uses a
-// full-table scan (detail/aes_core.hpp), so no secret ever indexes memory.
+// derived, not transcribed. The cipher itself is constant-time
+// (detail/aes_core.hpp): aes256_ctr encrypts 64 counter blocks per batch
+// bitsliced in 64-bit plane words, with SubBytes as the Boyar-Peralta gate
+// list; Aes::encrypt_block runs the same rounds one block at a time and is
+// the reference oracle the CTR core is tested against; the inverse S-box
+// uses a full-table scan. No secret ever indexes memory or picks a branch.
 #pragma once
 
 #include <array>
@@ -36,7 +39,9 @@ class Aes {
 
 /// AES-256-CTR keystream XOR. `nonce` is 12 bytes; the 4-byte big-endian
 /// block counter starts at `initial_counter`. Encryption and decryption are
-/// the same operation.
+/// the same operation. Throws std::invalid_argument when the data needs
+/// counters past 2^32 - 1: the counter never wraps into keystream already
+/// used.
 Bytes aes256_ctr(ByteView key, ByteView nonce, std::uint32_t initial_counter,
                  ByteView data);
 

@@ -19,7 +19,9 @@ namespace convolve::crypto {
 /// refer to the real round structure.
 void keccak_f1600(std::array<std::uint64_t, 25>& state);
 
-/// Incremental Keccak sponge with byte-granular absorb/squeeze.
+/// Incremental Keccak sponge with byte-granular absorb/squeeze. Both move
+/// whole 8-byte lanes and touch single bytes only at a block's head and
+/// tail.
 class KeccakSponge {
  public:
   /// `rate_bytes` must be a positive multiple of 8 below 200.

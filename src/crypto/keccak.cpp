@@ -1,6 +1,6 @@
 #include "convolve/crypto/keccak.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 #include "convolve/crypto/detail/keccak_core.hpp"
@@ -28,8 +28,22 @@ std::uint8_t KeccakSponge::state_byte(std::size_t pos) const {
 
 void KeccakSponge::absorb(ByteView data) {
   if (squeezing_) throw std::logic_error("KeccakSponge: absorb after squeeze");
-  for (std::uint8_t byte : data) {
-    xor_byte_into_state(offset_++, byte);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  while (n > 0) {
+    if (offset_ % 8 == 0 && n >= 8) {
+      // Whole lanes up to the end of the block or of the data.
+      const std::size_t lanes = std::min(rate_ - offset_, n) / 8;
+      for (std::size_t i = 0; i < lanes; ++i) {
+        state_[offset_ / 8 + i] ^= load_le64(p + 8 * i);
+      }
+      offset_ += 8 * lanes;
+      p += 8 * lanes;
+      n -= 8 * lanes;
+    } else {
+      xor_byte_into_state(offset_++, *p++);
+      --n;
+    }
     if (offset_ == rate_) {
       keccak_f1600(state_);
       offset_ = 0;
@@ -48,12 +62,25 @@ void KeccakSponge::finalize() {
 
 void KeccakSponge::squeeze(std::span<std::uint8_t> out) {
   finalize();
-  for (auto& byte : out) {
+  std::uint8_t* p = out.data();
+  std::size_t n = out.size();
+  while (n > 0) {
     if (offset_ == rate_) {
       keccak_f1600(state_);
       offset_ = 0;
     }
-    byte = state_byte(offset_++);
+    if (offset_ % 8 == 0 && n >= 8) {
+      const std::size_t lanes = std::min(rate_ - offset_, n) / 8;
+      for (std::size_t i = 0; i < lanes; ++i) {
+        store_le64(p + 8 * i, state_[offset_ / 8 + i]);
+      }
+      offset_ += 8 * lanes;
+      p += 8 * lanes;
+      n -= 8 * lanes;
+    } else {
+      *p++ = state_byte(offset_++);
+      --n;
+    }
   }
 }
 

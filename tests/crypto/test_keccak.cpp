@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace convolve::crypto {
 namespace {
 
@@ -98,6 +100,52 @@ TEST(KeccakPermutation, ChangesState) {
   std::array<std::uint64_t, 25> st2{};
   keccak_f1600(st2);
   EXPECT_EQ(st, st2);
+}
+
+// KeccakF-1600 of the all-zero state, from the Keccak team's published
+// intermediate values.
+TEST(KeccakPermutation, ZeroStateKnownAnswer) {
+  std::array<std::uint64_t, 25> st{};
+  keccak_f1600(st);
+  EXPECT_EQ(st[0], 0xf1258f7940e1dde7ull);
+  EXPECT_EQ(st[1], 0x84d5ccf933c0478aull);
+}
+
+// absorb and squeeze move whole lanes and touch single bytes only at a
+// block's head and tail. The reference goes one byte at a time, which never
+// takes the lane path; the one-shot sponge, a 3-block message split at every
+// offset up to one lane past the first block, and squeezes in every chunk
+// size 1..17 must all equal it.
+TEST(KeccakSponge, AnySplitAndChunkingMatchesOneShot) {
+  for (const std::size_t rate : {72u, 136u, 168u}) {
+    Bytes msg(3 * rate);
+    for (std::size_t i = 0; i < msg.size(); ++i) {
+      msg[i] = static_cast<std::uint8_t>(0x3b * i + rate);
+    }
+    const std::size_t out_len = 2 * rate + 5;
+    KeccakSponge bytewise(rate, 0x1f);
+    for (const std::uint8_t b : msg) bytewise.absorb({&b, 1});
+    Bytes want(out_len);
+    for (auto& b : want) bytewise.squeeze({&b, 1});
+    KeccakSponge one(rate, 0x1f);
+    one.absorb(msg);
+    Bytes one_shot(out_len);
+    one.squeeze(one_shot);
+    EXPECT_EQ(one_shot, want) << "rate " << rate;
+    for (std::size_t split = 0; split <= rate + 8; ++split) {
+      for (std::size_t chunk = 1; chunk <= 17; ++chunk) {
+        KeccakSponge s(rate, 0x1f);
+        s.absorb({msg.data(), split});
+        s.absorb({msg.data() + split, msg.size() - split});
+        Bytes got(out_len);
+        for (std::size_t off = 0; off < out_len; off += chunk) {
+          s.squeeze({got.data() + off, std::min(chunk, out_len - off)});
+        }
+        ASSERT_EQ(got, want) << "rate " << rate << " split " << split
+                             << " chunk " << chunk;
+      }
+    }
+  }
 }
 
 }  // namespace
