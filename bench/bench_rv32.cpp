@@ -113,7 +113,11 @@ struct EngineRun {
   }
 };
 
-EngineRun run_engine_once(const Workload& w, Rv32Engine engine,
+// The engine under test: &Rv32Cpu::run (bytecode) or
+// &Rv32Cpu::run_interpreted (the reference interpreter).
+using EngineFn = Rv32Cpu::RunResult (Rv32Cpu::*)(std::uint64_t);
+
+EngineRun run_engine_once(const Workload& w, EngineFn engine,
                           std::uint64_t budget);
 
 // Best-of-`reps` timing: each rep rebuilds the machine and runs the full
@@ -121,7 +125,7 @@ EngineRun run_engine_once(const Workload& w, Rv32Engine engine,
 // fastest wall-clock is the least noise-polluted measurement (the CI
 // hosts are shared single-core boxes where a single rep can be slowed
 // 2x by a neighbour).
-EngineRun run_engine(const Workload& w, Rv32Engine engine,
+EngineRun run_engine(const Workload& w, EngineFn engine,
                      std::uint64_t budget, int reps = 3) {
   EngineRun best;
   for (int rep = 0; rep < reps; ++rep) {
@@ -131,7 +135,7 @@ EngineRun run_engine(const Workload& w, Rv32Engine engine,
   return best;
 }
 
-EngineRun run_engine_once(const Workload& w, Rv32Engine engine,
+EngineRun run_engine_once(const Workload& w, EngineFn engine,
                           std::uint64_t budget) {
   Machine machine(kMemBytes);
   machine.store(kCodeBase, rv::assemble(w.program), PrivMode::kMachine);
@@ -141,13 +145,12 @@ EngineRun run_engine_once(const Workload& w, Rv32Engine engine,
   }
   machine.store(kSrcBase, src, PrivMode::kMachine);
   Rv32Cpu cpu(machine, kCodeBase, PrivMode::kMachine);
-  cpu.set_engine(engine);
 
   EngineRun out;
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t left = budget;
   while (left > 0) {
-    const auto r = cpu.run(left);
+    const auto r = (cpu.*engine)(left);
     left -= r.steps;
     if (r.trap.has_value()) {
       ++out.traps;
@@ -298,9 +301,9 @@ int main(int argc, char** argv) {
     if (!selected(w.name)) continue;
     // Warm-up pass so first-touch page faults and cache fills don't skew
     // the shorter comparison runs.
-    (void)run_engine(w, Rv32Engine::kBytecode, steps / 16 + 1, 1);
-    const EngineRun legacy = run_engine(w, Rv32Engine::kInterpreted, steps);
-    const EngineRun bc = run_engine(w, Rv32Engine::kBytecode, steps);
+    (void)run_engine(w, &Rv32Cpu::run, steps / 16 + 1, 1);
+    const EngineRun legacy = run_engine(w, &Rv32Cpu::run_interpreted, steps);
+    const EngineRun bc = run_engine(w, &Rv32Cpu::run, steps);
     const bool match = same_state(legacy, bc);
     all_match &= match;
     const double speedup =

@@ -276,109 +276,66 @@ LintResult lint_hmac_sha512() {
 
 namespace {
 
-/// Little Fermat powering for re-deriving the public twiddle tables from
-/// the spec (the production tables live in anonymous namespaces).
-std::int64_t mod_pow(std::int64_t base, std::int64_t exp, std::int64_t q) {
-  std::int64_t r = 1;
-  std::int64_t b = base % q;
-  while (exp > 0) {
-    if (exp & 1) r = r * b % q;
-    b = b * b % q;
-    exp >>= 1;
-  }
-  return r;
-}
+/// Drive a secret polynomial through the shipped NTT parameter set P with
+/// tainted coefficients: forward transform, a pointwise square through the
+/// shared reduction, then the inverse of the forward result. Each stage is
+/// compared against the plain instantiation, and the inverse must give the
+/// input back.
+template <class P>
+LintResult lint_ntt(const char* suite) {
+  using C = typename P::Coeff;
+  using W = typename P::Wide;
+  using TC = Tainted<C>;
+  using TW = Tainted<W>;
+  constexpr std::size_t kN = P::n;
 
-int bitrev(int i, int bits) {
-  int r = 0;
-  for (int b = 0; b < bits; ++b) {
-    r = (r << 1) | ((i >> b) & 1);
+  std::array<C, kN> poly{};
+  for (std::size_t i = 0; i < kN; ++i) {
+    poly[i] = static_cast<C>((i * 31 + 7) % static_cast<std::size_t>(P::q));
   }
-  return r;
-}
-
-/// Drive a secret polynomial through the shared NTT template with tainted
-/// coefficients and compare against the plain instantiation. The transform
-/// is *expected* to record hazards (`%` + sign test in ntt_mod); the lint
-/// documents them rather than asserting cleanliness.
-template <class TC, class TW, class Z>
-LintResult lint_ntt(const char* suite, int n, int min_len, std::int64_t q,
-                    const std::vector<Z>& zetas, const std::vector<Z>& inv_zetas,
-                    Z n_inv) {
-  std::vector<TC> poly(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    poly[static_cast<std::size_t>(i)] =
-        static_cast<TC>((i * 31 + 7) % static_cast<int>(q));
-  }
-
-  // Plain reference: forward, then inverse round-trips back.
   auto plain = poly;
-  cd::ntt_forward<TC, TW>(plain.data(), n, min_len, zetas.data(), q);
+  cd::ntt_forward<P>(plain.data());
+  std::array<C, kN> plain_sq{};
+  for (std::size_t i = 0; i < kN; ++i) {
+    plain_sq[i] = cd::reduce<P>(W(plain[i]) * W(plain[i]));
+  }
 
   ScopedTaintSink guard;
   TaintScope scope(suite);
 
-  std::vector<Tainted<TC>> tpoly(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    tpoly[static_cast<std::size_t>(i)] =
-        Tainted<TC>::secret(poly[static_cast<std::size_t>(i)]);
-  }
+  std::array<TC, kN> tpoly;
+  for (std::size_t i = 0; i < kN; ++i) tpoly[i] = TC::secret(poly[i]);
   {
     TaintScope s("forward");
-    cd::ntt_forward<Tainted<TC>, Tainted<TW>>(tpoly.data(), n, min_len,
-                                              zetas.data(), q);
+    cd::ntt_forward<P>(tpoly.data());
   }
   bool matches = true;
-  for (int i = 0; i < n; ++i) {
-    matches = matches &&
-              tpoly[static_cast<std::size_t>(i)].value() ==
-                  plain[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kN; ++i) {
+    matches = matches && tpoly[i].value() == plain[i] && tpoly[i].tainted();
+  }
+  {
+    TaintScope s("reduce");
+    for (std::size_t i = 0; i < kN; ++i) {
+      const TC sq = cd::reduce<P>(TW(tpoly[i]) * TW(tpoly[i]));
+      matches = matches && sq.value() == plain_sq[i] && sq.tainted();
+    }
   }
   {
     TaintScope s("inverse");
-    cd::ntt_inverse<Tainted<TC>, Tainted<TW>>(tpoly.data(), n, min_len,
-                                              inv_zetas.data(), q, n_inv);
+    cd::ntt_inverse<P>(tpoly.data());
   }
-  for (int i = 0; i < n; ++i) {
-    matches = matches &&
-              tpoly[static_cast<std::size_t>(i)].value() ==
-                  poly[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kN; ++i) {
+    matches = matches && tpoly[i].value() == poly[i];
   }
   return finish(suite, guard.sink(), matches);
 }
 
 }  // namespace
 
-LintResult lint_kyber_ntt() {
-  constexpr int kN = 256;
-  constexpr std::int64_t kQ = 3329;
-  std::vector<std::int16_t> zetas(128), inv_zetas(128);
-  for (int i = 0; i < 128; ++i) {
-    zetas[static_cast<std::size_t>(i)] =
-        static_cast<std::int16_t>(mod_pow(17, bitrev(i, 7), kQ));
-    inv_zetas[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
-        mod_pow(17, (256 - bitrev(i, 7)) % 256, kQ));
-  }
-  // 128^-1 mod q (the forward transform stops at len = 2, so 128 butterfly
-  // halvings are undone).
-  const auto n_inv = static_cast<std::int16_t>(mod_pow(128, kQ - 2, kQ));
-  return lint_ntt<std::int16_t, std::int32_t>("kyber-ntt", kN, 2, kQ, zetas,
-                                              inv_zetas, n_inv);
-}
+LintResult lint_kyber_ntt() { return lint_ntt<cd::KyberNtt>("kyber-ntt"); }
 
 LintResult lint_dilithium_ntt() {
-  constexpr int kN = 256;
-  constexpr std::int64_t kQ = 8380417;
-  std::vector<std::int32_t> zetas(256), inv_zetas(256);
-  for (int i = 0; i < 256; ++i) {
-    zetas[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(mod_pow(1753, bitrev(i, 8), kQ));
-    inv_zetas[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-        mod_pow(zetas[static_cast<std::size_t>(i)], kQ - 2, kQ));
-  }
-  const auto n_inv = static_cast<std::int32_t>(mod_pow(kN, kQ - 2, kQ));
-  return lint_ntt<std::int32_t, std::int64_t>("dilithium-ntt", kN, 1, kQ,
-                                              zetas, inv_zetas, n_inv);
+  return lint_ntt<cd::DilithiumNtt>("dilithium-ntt");
 }
 
 std::vector<LintResult> lint_all() {

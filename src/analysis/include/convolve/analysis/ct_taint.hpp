@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "convolve/crypto/detail/aes_sbox_ct.hpp"
+#include "convolve/crypto/detail/pqc_ntt.hpp"
 
 namespace convolve::analysis {
 
@@ -240,6 +241,12 @@ namespace convolve::crypto::detail {
 template <>
 struct PlaneWordFor<convolve::analysis::Tainted<std::uint8_t>> {
   using type = convolve::analysis::Tainted<std::uint16_t>;
+};
+
+/// A tainted NTT coefficient widens to a tainted product word.
+template <class U, class T>
+struct RebindWord<convolve::analysis::Tainted<U>, T> {
+  using type = convolve::analysis::Tainted<T>;
 };
 
 }  // namespace convolve::crypto::detail

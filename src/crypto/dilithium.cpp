@@ -13,10 +13,12 @@ namespace {
 
 using Poly = std::array<std::int32_t, kN>;
 
-// Coefficients are kept in [0, q).
-std::int32_t mod_q(std::int64_t a) {
-  return detail::ntt_mod<std::int32_t, std::int64_t>(a, kQ);
-}
+using Ntt = detail::DilithiumNtt;
+static_assert(Ntt::q == kQ && Ntt::n == kN);
+
+// Coefficients are kept in [0, q). Every caller stays inside the shared
+// reduction's bound: |a| <= (q-1)^2 (a product of two residues).
+std::int32_t mod_q(std::int64_t a) { return detail::reduce<Ntt>(a); }
 
 std::int32_t mul_q(std::int64_t a, std::int64_t b) { return mod_q(a * b); }
 
@@ -25,57 +27,9 @@ std::int32_t centered(std::int32_t a) {
   return (a > (kQ - 1) / 2) ? a - kQ : a;
 }
 
-// ---------------------------------------------------------------------
-// NTT over Z_q[X]/(X^256+1); 1753 is a primitive 512th root of unity.
-// Tables are generated at first use from bit-reversed powers.
-// ---------------------------------------------------------------------
+void ntt(Poly& f) { detail::ntt_forward<Ntt>(f.data()); }
 
-int bitrev8(int i) {
-  int r = 0;
-  for (int b = 0; b < 8; ++b) r |= ((i >> b) & 1) << (7 - b);
-  return r;
-}
-
-std::int32_t mod_pow(std::int64_t base, std::int64_t exp) {
-  std::int64_t result = 1;
-  base %= kQ;
-  while (exp > 0) {
-    if (exp & 1) result = result * base % kQ;
-    base = base * base % kQ;
-    exp >>= 1;
-  }
-  return static_cast<std::int32_t>(result);
-}
-
-struct NttTables {
-  std::array<std::int32_t, 256> zetas{};
-  std::array<std::int32_t, 256> inv_zetas{};
-  std::int32_t n_inv;
-  NttTables() : n_inv(mod_pow(kN, kQ - 2)) {
-    for (int i = 0; i < 256; ++i) {
-      zetas[i] = mod_pow(1753, bitrev8(i));
-      inv_zetas[i] = mod_pow(zetas[i], kQ - 2);
-    }
-  }
-};
-
-const NttTables& tables() {
-  static const NttTables t;
-  return t;
-}
-
-// Dilithium splits fully down to degree-0 factors (min_len = 1); the
-// shared butterfly template is instantiated with 32-bit coefficients and
-// 64-bit intermediates since q is 23 bits.
-void ntt(Poly& f) {
-  detail::ntt_forward<std::int32_t, std::int64_t>(f.data(), kN, 1,
-                                                  tables().zetas.data(), kQ);
-}
-
-void intt(Poly& f) {
-  detail::ntt_inverse<std::int32_t, std::int64_t>(
-      f.data(), kN, 1, tables().inv_zetas.data(), kQ, tables().n_inv);
-}
+void intt(Poly& f) { detail::ntt_inverse<Ntt>(f.data()); }
 
 Poly pointwise(const Poly& a, const Poly& b) {
   Poly r;
@@ -85,17 +39,13 @@ Poly pointwise(const Poly& a, const Poly& b) {
 
 Poly poly_add(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) {
-    r[i] = mod_q(static_cast<std::int64_t>(a[i]) + b[i]);
-  }
+  for (int i = 0; i < kN; ++i) r[i] = detail::add_q<Ntt>(a[i], b[i]);
   return r;
 }
 
 Poly poly_sub(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) {
-    r[i] = mod_q(static_cast<std::int64_t>(a[i]) - b[i]);
-  }
+  for (int i = 0; i < kN; ++i) r[i] = detail::sub_q<Ntt>(a[i], b[i]);
   return r;
 }
 

@@ -14,13 +14,12 @@ namespace {
 using Poly = std::array<std::int16_t, kN>;
 using PolyVec = std::array<Poly, kK>;
 
-// ---------------------------------------------------------------------
-// Modular helpers. q is tiny, so plain 32-bit arithmetic suffices.
-// ---------------------------------------------------------------------
+using Ntt = detail::KyberNtt;
+static_assert(Ntt::q == kQ && Ntt::n == kN);
 
-std::int16_t mod_q(std::int32_t a) {
-  return detail::ntt_mod<std::int16_t, std::int32_t>(a, kQ);
-}
+// Canonical residues in [0, q). Every caller stays far inside the shared
+// reduction's bound: |a| <= 4095^2 (12-bit decoded keys times residues).
+std::int16_t mod_q(std::int32_t a) { return detail::reduce<Ntt>(a); }
 
 std::int16_t mul_q(std::int32_t a, std::int32_t b) { return mod_q(a * b); }
 
@@ -31,77 +30,36 @@ std::int32_t centered(std::int16_t a) {
   return r;
 }
 
-// ---------------------------------------------------------------------
-// NTT. zeta = 17 is a primitive 256th root of unity mod q. The tables are
-// generated at first use (bit-reversed powers), not transcribed.
-// ---------------------------------------------------------------------
+void ntt(Poly& f) { detail::ntt_forward<Ntt>(f.data()); }
 
-int bitrev7(int i) {
-  int r = 0;
-  for (int b = 0; b < 7; ++b) {
-    r |= ((i >> b) & 1) << (6 - b);
-  }
-  return r;
-}
+void intt(Poly& f) { detail::ntt_inverse<Ntt>(f.data()); }
 
-struct NttTables {
-  std::array<std::int16_t, 128> zetas{};      // 17^bitrev7(i)
-  std::array<std::int16_t, 128> inv_zetas{};  // 17^(-bitrev7(i))
-  std::array<std::int16_t, 128> gammas{};     // 17^(2*bitrev7(i)+1)
-  NttTables() {
-    std::array<std::int16_t, 256> pow{};
-    pow[0] = 1;
-    for (int i = 1; i < 256; ++i) pow[i] = mul_q(pow[i - 1], 17);
-    for (int i = 0; i < 128; ++i) {
-      zetas[i] = pow[bitrev7(i)];
-      inv_zetas[i] = pow[(256 - bitrev7(i)) % 256];
-      gammas[i] = pow[(2 * bitrev7(i) + 1) % 256];
-    }
-  }
-};
-
-const NttTables& tables() {
-  static const NttTables t;
-  return t;
-}
-
-// Kyber splits down to 128 degree-1 factors (min_len = 2); the shared
-// Cooley-Tukey / Gentleman-Sande template in detail/pqc_ntt.hpp does the
-// butterflies, parameterized here with 16-bit coefficients and 32-bit
-// intermediate arithmetic. 128^{-1} = 3303 mod q.
-void ntt(Poly& f) {
-  detail::ntt_forward<std::int16_t, std::int32_t>(f.data(), kN, 2,
-                                                  tables().zetas.data(), kQ);
-}
-
-void intt(Poly& f) {
-  detail::ntt_inverse<std::int16_t, std::int32_t>(
-      f.data(), kN, 2, tables().inv_zetas.data(), kQ,
-      static_cast<std::int16_t>(3303));
-}
-
-// Pairwise multiplication in the NTT domain (128 degree-1 factors).
+// Pairwise multiplication in the NTT domain: factor i is X^2 - gamma_i with
+// gamma_{2m} = zeta_{64+m} and gamma_{2m+1} = -zeta_{64+m}, the last-layer
+// twiddles (stored times R, so mont_mul applies them directly).
 Poly basemul(const Poly& a, const Poly& b) {
   Poly r{};
   for (int i = 0; i < 128; ++i) {
-    const std::int16_t g = tables().gammas[i];
+    const std::int16_t zeta = Ntt::zetas[static_cast<std::size_t>(64 + i / 2)];
+    const std::int16_t g = (i & 1) ? static_cast<std::int16_t>(-zeta) : zeta;
     const std::int16_t a0 = a[2 * i], a1 = a[2 * i + 1];
     const std::int16_t b0 = b[2 * i], b1 = b[2 * i + 1];
-    r[2 * i] = mod_q(mul_q(a0, b0) + mul_q(mul_q(a1, b1), g));
-    r[2 * i + 1] = mod_q(mul_q(a0, b1) + mul_q(a1, b0));
+    r[2 * i] = detail::add_q<Ntt>(
+        mul_q(a0, b0), detail::mont_mul<Ntt>(mul_q(a1, b1), g));
+    r[2 * i + 1] = detail::add_q<Ntt>(mul_q(a0, b1), mul_q(a1, b0));
   }
   return r;
 }
 
 Poly poly_add(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) r[i] = mod_q(a[i] + b[i]);
+  for (int i = 0; i < kN; ++i) r[i] = detail::add_q<Ntt>(a[i], b[i]);
   return r;
 }
 
 Poly poly_sub(const Poly& a, const Poly& b) {
   Poly r;
-  for (int i = 0; i < kN; ++i) r[i] = mod_q(a[i] - b[i]);
+  for (int i = 0; i < kN; ++i) r[i] = detail::sub_q<Ntt>(a[i], b[i]);
   return r;
 }
 

@@ -12,19 +12,18 @@
 // and are reported to the embedder -- the security monitor or kernel
 // decides whether to kill, restart or service the hart.
 //
-// Two execution engines share the architectural state: step() is the
-// straightforward fetch-decode-execute reference interpreter, and the
-// default bytecode engine runs each code page as a compact bytecode
-// stream (handler byte + packed operands + linked handler address,
-// macro-op fusion of lui+addi / auipc+addi / auipc+lw / cmp+branch pairs)
-// through a threaded dispatch loop — computed-goto under GCC/Clang, dense
-// switch elsewhere. The bytecode is not the hart's: Machine::decoded_page
-// owns it (shared from the frozen image on a fork, privately refreshed
-// word by word where the machine's bytes moved on), so an Rv32Cpu is just
-// a register file, pc, privilege mode, engine choice and tallies, and
-// constructing one allocates nothing. The bytecode engine is
-// differentially tested to be bit-identical to the reference, including
-// trap cause/pc/tval and step accounting.
+// Two execution engines share the architectural state: step() (and
+// run_interpreted()) is the straightforward fetch-decode-execute reference
+// interpreter, and run() is the bytecode engine, which runs each code page
+// as a compact bytecode stream (handler byte + packed operands + linked
+// handler address, macro-op fusion of lui+addi / auipc+addi / auipc+lw /
+// cmp+branch pairs) through a computed-goto dispatch loop. The bytecode is
+// not the hart's: Machine::decoded_page owns it (shared from the frozen
+// image on a fork, privately refreshed word by word where the machine's
+// bytes moved on), so an Rv32Cpu is just a register file, pc, privilege
+// mode and tallies, and constructing one allocates nothing. The bytecode
+// engine is differentially tested to be bit-identical to the reference,
+// including trap cause/pc/tval and step accounting.
 #pragma once
 
 #include <array>
@@ -52,14 +51,6 @@ struct Trap {
   std::uint32_t tval;  // faulting address or raw instruction
 };
 
-/// Execution engine used by Rv32Cpu::run(). Both engines are
-/// architecturally bit-identical (registers, memory, pc, retired count,
-/// trap cause/pc/tval, step counts); they differ only in speed.
-enum class Rv32Engine : std::uint8_t {
-  kInterpreted = 0,  // step() in a loop — the reference oracle
-  kBytecode = 1,     // threaded bytecode dispatch + macro-op fusion
-};
-
 class Rv32Cpu {
  public:
   Rv32Cpu(Machine& machine, std::uint32_t entry_pc, PrivMode mode);
@@ -83,24 +74,18 @@ class Rv32Cpu {
     std::optional<Trap> trap;  // set when stopped by a trap
   };
 
-  /// Run until a trap or `max_steps` instructions on the selected engine
-  /// (default: bytecode). Bytecode pages come from Machine::decoded_page,
-  /// current with the machine's per-page store versions, so self-modifying
-  /// code re-decodes the words it changed;
-  /// memory accesses are allocation-free with memoized PMP windows; nothing
-  /// throws on the per-instruction path. Architectural state (registers,
-  /// pc, retired count, trap cause/pc/tval) is bit-identical to
-  /// run_interpreted on both engines.
+  /// Run until a trap or `max_steps` instructions on the bytecode engine.
+  /// Bytecode pages come from Machine::decoded_page, current with the
+  /// machine's per-page store versions, so self-modifying code re-decodes
+  /// the words it changed; memory accesses are allocation-free with
+  /// memoized PMP windows; nothing throws on the per-instruction path.
+  /// Architectural state (registers, pc, retired count, trap
+  /// cause/pc/tval) is bit-identical to run_interpreted.
   RunResult run(std::uint64_t max_steps);
 
-  /// Select the execution engine used by run(). Takes effect on the next
-  /// run() call; architectural state carries over between engines.
-  void set_engine(Rv32Engine engine) { engine_ = engine; }
-  Rv32Engine engine() const { return engine_; }
-  static constexpr Rv32Engine kDefaultEngine = Rv32Engine::kBytecode;
-
-  /// Run the same contract on the legacy step() interpreter. Kept as the
-  /// reference implementation for differential testing and benchmarking.
+  /// Run the same contract on the step() interpreter: the reference
+  /// implementation for differential testing and benchmarking.
+  /// Architectural state carries over between the two engines.
   RunResult run_interpreted(std::uint64_t max_steps);
 
   std::uint32_t pc() const { return pc_; }
@@ -122,7 +107,6 @@ class Rv32Cpu {
   Machine& machine_;
   std::uint32_t pc_;
   PrivMode mode_;
-  Rv32Engine engine_ = kDefaultEngine;
   std::array<std::uint32_t, 32> x_{};
   std::uint64_t retired_ = 0;
 #if CONVOLVE_TELEMETRY_ENABLED

@@ -258,10 +258,10 @@ constexpr std::uint32_t access_bytes(OpKind k) {
 // Bytecode tier: compact per-slot ops for the threaded dispatch engine.
 // ---------------------------------------------------------------------
 //
-// The bytecode engine (Rv32Cpu::run with Rv32Engine::kBytecode) decodes
-// each code page into one BcOp per 4-byte slot: a handler byte indexing
-// the dispatch table plus pre-extracted operands, so the hot loop touches
-// exactly one BcOp record per dispatch. A decode-time fusion pass
+// The bytecode engine (Rv32Cpu::run) decodes each code page into one BcOp
+// per 4-byte slot: a handler byte indexing the dispatch table plus
+// pre-extracted operands, so the hot loop touches exactly one BcOp record
+// per dispatch. A decode-time fusion pass
 // additionally recognizes adjacent pairs (lui+addi, auipc+addi, auipc+lw,
 // cmp/addi+branch-on-zero) and emits a fused handler in the FIRST slot of
 // the pair; the second slot always keeps its own unfused bytecode, so a
@@ -333,18 +333,16 @@ struct BcOp {
   std::uint8_t rs2 = 0;
   std::int32_t imm = 0;   // kIllegal: raw instruction word (trap tval)
   std::int32_t imm2 = 0;
-  // Computed-goto builds dispatch through this direct handler address
-  // (one dependent load instead of byte -> table -> jump). Page decode
-  // links it from bytecode_handlers() before the page is ever executed
-  // or shared; the dense-switch build leaves it null.
+  // Dispatch goes through this direct handler address (one dependent
+  // load instead of byte -> table -> jump). Page decode links it from
+  // bytecode_handlers() before the page is ever executed or shared.
   const void* target = nullptr;
 };
 
 /// Handler addresses of the threaded bytecode engine, indexed by
 /// BcHandler: what page decode links BcOp::target to. The table is a
 /// function-local constant of the dispatch loop (label addresses exist
-/// nowhere else), so reading it from any thread is race-free. Null in the
-/// dense-switch build, which dispatches on BcOp::handler.
+/// nowhere else), so reading it from any thread is race-free.
 const void* const* bytecode_handlers();
 
 /// Rewrite one decoded instruction into its bytecode slot. Pure

@@ -48,10 +48,6 @@ class SecurityMonitor {
     std::uint64_t size = 0;
     Bytes measurement;  // SHA3-512 of the loaded binary
     bool alive = true;
-    // Hoisted per-enclave engine selection: run_enclave_program used to
-    // take (and re-apply) the engine on every call; the choice is a
-    // property of the enclave, made once and inherited by forks.
-    Rv32Engine engine = Rv32Cpu::kDefaultEngine;
   };
 
   /// Install the SM: locks down its own region and the enclave PMP plan.
@@ -96,19 +92,10 @@ class SecurityMonitor {
   /// under the enclave PMP view, starting at `entry_offset` into the
   /// region. Execution ends at a trap (ecall = clean exit request, PMP
   /// faults = contained violations) or after `max_steps` instructions.
-  /// The OS PMP view is restored before returning. The execution engine
-  /// is the enclave's hoisted selection (see set_enclave_engine); the
-  /// explicit-engine overload below pins an engine for this call only
-  /// (both engines are architecturally bit-identical).
+  /// The OS PMP view is restored before returning. Runs on the bytecode
+  /// engine (Rv32Cpu::run).
   Rv32Cpu::RunResult run_enclave_program(int id, std::uint64_t max_steps,
                                          std::uint32_t entry_offset = 0);
-  Rv32Cpu::RunResult run_enclave_program(int id, std::uint64_t max_steps,
-                                         std::uint32_t entry_offset,
-                                         Rv32Engine engine);
-
-  /// Choose the execution engine for an enclave once; subsequent runs (and
-  /// forks resumed from a snapshot) inherit it.
-  void set_enclave_engine(int id, Rv32Engine engine);
 
   /// Generate a signed attestation report for an enclave. Consumes SM
   /// stack (throws StackOverflow if the configured stack cannot hold the

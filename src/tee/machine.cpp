@@ -37,9 +37,7 @@ struct DecodeTally {
 void refresh_slots(DecodedPage& d, const std::uint8_t* src, std::size_t n,
                    bool whole, DecodeTally& tally) {
   const void* const* handlers = bytecode_handlers();
-  const auto link = [handlers](BcOp& op) {
-    if (handlers != nullptr) op.target = handlers[op.handler];
-  };
+  const auto link = [handlers](BcOp& op) { op.target = handlers[op.handler]; };
   if (whole) {
     for (std::size_t i = n; i < DecodedPage::kSlots; ++i) {
       d.words[i] = 0;

@@ -311,12 +311,7 @@ Rv32Cpu::RunResult Rv32Cpu::run_interpreted(std::uint64_t max_steps) {
   return result;
 }
 
-// ---------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------
-
 Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
-  if (engine_ == Rv32Engine::kInterpreted) return run_interpreted(max_steps);
 #if CONVOLVE_TELEMETRY_ENABLED
   // Tally outside run_bytecode so the hot loop never touches the member
   // (even an RAII reference to the result forces the step counter into
@@ -355,20 +350,12 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
 //     the first has committed (pc_ = pair pc + 4) and the trap carries
 //     the component's pc/tval.
 
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(CONVOLVE_BC_FORCE_SWITCH)
-#define CONVOLVE_BC_THREADED 1
-#else
-#define CONVOLVE_BC_THREADED 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bytecode engine dispatches by computed goto (GCC or Clang)"
 #endif
 
-#if CONVOLVE_BC_THREADED
 #define BC_CASE(name) lab_##name:
 #define BC_DISPATCH() goto* op->target
-#else
-#define BC_CASE(name) case BcHandler::k##name:
-#define BC_DISPATCH() goto dispatch_top
-#endif
 
 // Budget is a fuel countdown: fuel = max_steps - steps consumed so far,
 // so the per-retire budget check is a single dec-and-test. steps and the
@@ -487,7 +474,6 @@ __attribute__((optimize("no-gcse", "no-crossjumping")))
 Rv32Cpu::RunResult Rv32Cpu::run_bytecode(Rv32Cpu* self,
                                          std::uint64_t max_steps,
                                          const void* const** handlers) {
-#if CONVOLVE_BC_THREADED
   // Handler table in exact BcHandler order (see static_assert below).
   static const void* const kLabels[] = {
       &&lab_Illegal, &&lab_Lui, &&lab_Auipc, &&lab_Jal, &&lab_Jalr,
@@ -517,12 +503,6 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(Rv32Cpu* self,
     *handlers = kLabels;
     return {};
   }
-#else
-  if (self == nullptr) {
-    *handlers = nullptr;
-    return {};
-  }
-#endif
   Rv32Cpu& cpu = *self;
   RunResult result;
 
@@ -582,11 +562,6 @@ outer:
   }
   op = ops + ((pc & (Machine::kPageBytes - 1)) >> 2);
   BC_DISPATCH();
-
-#if !CONVOLVE_BC_THREADED
-dispatch_top:
-  switch (static_cast<BcHandler>(op->handler)) {
-#endif
 
   BC_CASE(Illegal) {
     result.trap = Trap{TrapCause::kIllegalInstruction, pc,
@@ -1024,13 +999,6 @@ dispatch_top:
     CONVOLVE_TELEMETRY_ONLY(++fused_n;)
     BC_FUSED_TAIL();
   }
-
-#if !CONVOLVE_BC_THREADED
-    default:
-      result.trap = Trap{TrapCause::kIllegalInstruction, pc, 0};
-      goto trap_at_pc;
-  }
-#endif
 
 scalar_one:
   // Split path: run exactly one instruction through the reference

@@ -220,28 +220,16 @@ void SecurityMonitor::run_enclave(int id, const std::function<void()>& body) {
 
 Rv32Cpu::RunResult SecurityMonitor::run_enclave_program(
     int id, std::uint64_t max_steps, std::uint32_t entry_offset) {
-  return run_enclave_program(id, max_steps, entry_offset,
-                             enclave(id).engine);
-}
-
-Rv32Cpu::RunResult SecurityMonitor::run_enclave_program(
-    int id, std::uint64_t max_steps, std::uint32_t entry_offset,
-    Rv32Engine engine) {
   const Enclave& e = enclave(id);
   if (!e.alive) throw std::runtime_error("run_enclave_program: destroyed");
   enter_enclave(id);
   Rv32Cpu cpu(machine_,
               static_cast<std::uint32_t>(e.base) + entry_offset,
               PrivMode::kUser);
-  if (engine != cpu.engine()) cpu.set_engine(engine);
   Rv32Cpu::RunResult result = cpu.run(max_steps);
   enter_os();
   CONVOLVE_TELEMETRY_ONLY(record_trap_exit(ctx_, result);)
   return result;
-}
-
-void SecurityMonitor::set_enclave_engine(int id, Rv32Engine engine) {
-  enclave_mut(id).engine = engine;
 }
 
 AttestationReport SecurityMonitor::attest(int id, ByteView user_data) {

@@ -38,7 +38,6 @@ struct DuoCpu {
     bc_machine.store(load_addr, program, PrivMode::kMachine);
     ref = std::make_unique<Rv32Cpu>(ref_machine, entry, mode);
     bc = std::make_unique<Rv32Cpu>(bc_machine, entry, mode);
-    bc->set_engine(Rv32Engine::kBytecode);
   }
 
   // Both machines forked from one frozen image, so the bytecode engine
@@ -48,7 +47,6 @@ struct DuoCpu {
       : ref_machine(image), bc_machine(image) {
     ref = std::make_unique<Rv32Cpu>(ref_machine, entry, mode);
     bc = std::make_unique<Rv32Cpu>(bc_machine, entry, mode);
-    bc->set_engine(Rv32Engine::kBytecode);
   }
 
   void set_pc(std::uint32_t pc) {

@@ -326,24 +326,5 @@ TEST(EnclaveService, SnapshotStaysPristineAcrossBatches) {
   EXPECT_EQ(service.snapshot().image().bytes, before);
 }
 
-TEST(EnclaveService, ForksInheritHoistedEngineSelection) {
-  // The enclave's engine choice is part of the snapshot: a service built
-  // after set_enclave_engine(kInterpreted) must produce the same payloads
-  // (all tiers are bit-identical) while actually running that tier.
-  ServiceWorld w(sum_input_program(kInputLen));
-  auto default_service = w.make_service();
-  w.sm->set_enclave_engine(w.enclave, Rv32Engine::kInterpreted);
-  auto interp_service = w.make_service();
-  EXPECT_EQ(interp_service.snapshot().sm_state().enclaves[0].engine,
-            Rv32Engine::kInterpreted);
-  const Request req = run_request(w.enclave);
-  const auto a = default_service.run_batch({req});
-  const auto b = interp_service.run_batch({req});
-  ASSERT_EQ(a[0].status, Status::kOk) << a[0].error;
-  ASSERT_EQ(b[0].status, Status::kOk) << b[0].error;
-  EXPECT_EQ(a[0].data, b[0].data);
-  EXPECT_EQ(a[0].steps, b[0].steps);
-}
-
 }  // namespace
 }  // namespace convolve::tee::service

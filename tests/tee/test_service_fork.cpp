@@ -221,23 +221,31 @@ TEST(ForkIsolation, DivergentForksShareNothingButTheImage) {
   }
 }
 
+// Fork e = 0 runs the reference interpreter under the enclave PMP view,
+// fork e = 1 the bytecode engine through run_enclave_program.
 TEST(ForkIsolation, TwoEngineLockStepOnForkedMachines) {
   ForkLab lab;
   Xoshiro256 rng(0x7E57E61);
-  const Rv32Engine engines[] = {Rv32Engine::kInterpreted,
-                                Rv32Engine::kBytecode};
   for (int i = 0; i < 50; ++i) {
     const auto k = static_cast<std::int32_t>(rng.uniform(2048));
     ForkOutcome outs[2];
     for (int e = 0; e < 2; ++e) {
       EnclaveWorld world =
           lab.snapshot->fork(static_cast<std::uint32_t>(i * 3 + e + 1));
-      world.sm->set_enclave_engine(lab.enclave, engines[e]);
       const auto& enc = world.sm->enclave(lab.enclave);
       Bytes patch(4);
       store_le32(patch.data(), rv::addi(7, 0, k));
       world.machine->store(enc.base + 0x100, patch, PrivMode::kMachine);
-      const auto run = world.sm->run_enclave_program(lab.enclave, 1000);
+      Rv32Cpu::RunResult run;
+      if (e == 0) {
+        world.sm->enter_enclave(lab.enclave);
+        Rv32Cpu cpu(*world.machine, static_cast<std::uint32_t>(enc.base),
+                    PrivMode::kUser);
+        run = cpu.run_interpreted(1000);
+        world.sm->enter_os();
+      } else {
+        run = world.sm->run_enclave_program(lab.enclave, 1000);
+      }
       outs[e].steps = run.steps;
       outs[e].ecall = run.trap && run.trap->cause == TrapCause::kEcall;
       outs[e].region =
