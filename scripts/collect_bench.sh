@@ -50,14 +50,12 @@ validate() {
     fi
 }
 
-# run_as <report-name> <bench-binary> <args...>: BENCH_<report-name>.json +
-# TRACE_<report-name>.json, schema-validated. The two names differ when one
-# binary is collected under several configurations (bench_sca lanes below).
-run_as() {
+# run <bench-binary> <args...>: BENCH_<name>.json + TRACE_<name>.json,
+# schema-validated.
+run() {
     name=$1
-    binname=$2
-    shift 2
-    bin="$build_dir/bench/$binname"
+    shift
+    bin="$build_dir/bench/$name"
     if [ ! -x "$bin" ]; then
         echo "collect_bench: SKIP $name (not built)" >&2
         return
@@ -74,21 +72,8 @@ run_as() {
     validate "$out_dir/BENCH_$name.json"
 }
 
-# run <name> <args...>: shorthand when report name == binary name.
-run() {
-    name=$1
-    shift
-    run_as "$name" "$name" "$@"
-}
-
 run bench_rv32 --steps=200000 --min-speedup=0
 run bench_sca --unmasked-traces=1024 --min-masked-ratio=4 --sigma=0.5
-# The same sca campaign on both evaluation engines: BENCH_bench_sca.json
-# (bitsliced, lanes=64 default) vs BENCH_bench_sca_scalar.json (the scalar
-# differential oracle) -- diffing the two reports is the recorded
-# lane-speedup evidence, and both must pass the same schema gate.
-run_as bench_sca_scalar bench_sca --lanes=1 \
-    --unmasked-traces=1024 --min-masked-ratio=4 --sigma=0.5
 # Scaling gate auto-skips on hosts with fewer than 8 hardware threads;
 # the fork-speedup gate always applies.
 run bench_enclave_service --requests=128 --spawn-reps=32

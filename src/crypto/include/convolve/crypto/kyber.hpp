@@ -58,6 +58,12 @@ struct PkeKeyPair {
   Bytes sk;
 };
 
+/// Compress_d(x) = round(2^d * x / q) mod 2^d for x in [0, q) and
+/// 1 <= d <= 13, by multiply-shift instead of a division (x is secret in
+/// encryption). Compress_1 is also the decryption decode: 1 exactly for
+/// 833 <= x <= 2496.
+std::int16_t compress(std::int16_t x, int d);
+
 PkeKeyPair pke_keygen(ByteView d32);
 Bytes pke_encrypt(ByteView pk, ByteView msg32, ByteView coins32);
 Bytes pke_decrypt(ByteView sk, ByteView ciphertext);

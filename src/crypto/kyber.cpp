@@ -23,13 +23,6 @@ std::int16_t mod_q(std::int32_t a) { return detail::reduce<Ntt>(a); }
 
 std::int16_t mul_q(std::int32_t a, std::int32_t b) { return mod_q(a * b); }
 
-// Centered representative in (-q/2, q/2].
-std::int32_t centered(std::int16_t a) {
-  std::int32_t r = a;
-  if (r > kQ / 2) r -= kQ;
-  return r;
-}
-
 void ntt(Poly& f) { detail::ntt_forward<Ntt>(f.data()); }
 
 void intt(Poly& f) { detail::ntt_inverse<Ntt>(f.data()); }
@@ -115,12 +108,6 @@ Poly sample_cbd(ByteView seed, std::uint8_t nonce, int eta) {
 // Compression and serialization.
 // ---------------------------------------------------------------------
 
-std::int16_t compress(std::int16_t x, int d) {
-  // round((2^d / q) * x) mod 2^d
-  const std::int64_t num = (static_cast<std::int64_t>(x) << d) + kQ / 2;
-  return static_cast<std::int16_t>((num / kQ) & ((1 << d) - 1));
-}
-
 std::int16_t decompress(std::int16_t y, int d) {
   const std::int64_t num = static_cast<std::int64_t>(y) * kQ + (1ll << (d - 1));
   return static_cast<std::int16_t>(num >> d);
@@ -199,6 +186,24 @@ Poly dot_ntt(const PolyVec& a, const PolyVec& b) {
 }
 
 }  // namespace
+
+std::int16_t compress(std::int16_t x, int d) {
+  // round(2^d * x / q) = floor(n / q) with n = (x << d) + (q - 1) / 2.
+  // M = ceil(2^36 / q) = 20642679 is M = (2^36 + e) / q with e = 1655, so
+  // n * M / 2^36 = n / q + n * e / (q * 2^36). The extra term stays below
+  // 1 / q -- too small to cross the next multiple of 1 / q -- while
+  // n < 2^36 / e = 41.5M, which covers every n up to (q - 1) << 13. One
+  // multiply and a shift replace the division, so secret coefficients
+  // get no data-dependent latency.
+  constexpr std::uint64_t kMul = 20642679;
+  constexpr int kShift = 36;
+  static_assert(kMul * kQ - (1ull << kShift) == 1655);
+  const std::uint64_t n =
+      (static_cast<std::uint64_t>(static_cast<std::uint16_t>(x)) << d) +
+      kQ / 2;
+  return static_cast<std::int16_t>(((n * kMul) >> kShift) &
+                                   ((1u << d) - 1u));
+}
 
 PkeKeyPair pke_keygen(ByteView d32) {
   if (d32.size() != 32) throw std::invalid_argument("pke_keygen: seed != 32B");
@@ -299,9 +304,8 @@ Bytes pke_decrypt(ByteView sk, ByteView ciphertext) {
 
   Bytes msg(32, 0);
   for (int i = 0; i < kN; ++i) {
-    // compress_1: closest of {0, q/2}.
-    const std::int32_t dist = std::abs(centered(w[i]));
-    const int bit = (dist > kQ / 4) ? 1 : 0;
+    // compress_1: closest of {0, q/2}, i.e. 1 exactly for q/4 < w < 3q/4.
+    const int bit = compress(w[i], 1);
     msg[static_cast<std::size_t>(i / 8)] |=
         static_cast<std::uint8_t>(bit << (i % 8));
   }

@@ -10,6 +10,7 @@
 #include "convolve/common/stats.hpp"
 #include "convolve/common/telemetry.hpp"
 #include "convolve/masking/gf256.hpp"
+#include "checkpoints.hpp"
 
 namespace convolve::sca {
 
@@ -45,13 +46,6 @@ struct CpaSums {
   }
 };
 
-std::vector<int> default_checkpoints(int n_traces) {
-  std::vector<int> cps;
-  for (int c = 256; c < n_traces; c *= 2) cps.push_back(c);
-  cps.push_back(n_traces);
-  return cps;
-}
-
 }  // namespace
 
 CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
@@ -60,12 +54,7 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
     throw std::invalid_argument("cpa_sbox_attack: target is not an 8-bit box");
   }
   if (n_traces < 8) throw std::invalid_argument("cpa: need >= 8 traces");
-  if (config.lanes != 1 && config.lanes != PowerTraceSimulator::kLanes) {
-    throw std::invalid_argument("cpa: lanes must be 1 or 64");
-  }
   CONVOLVE_TRACE_SPAN("sca.cpa");
-  const bool use_block =
-      config.lanes != 1 && target.supports_block_capture();
   const int samples = target.samples();
 
   // Hypothesis table: HW(S(v)) for every S-box input v.
@@ -94,10 +83,8 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
     CpaSums segment = par::parallel_reduce(
         seg, config.grain, CpaSums(samples),
         [&](std::uint64_t, par::Range r) {
-          // The sums are accumulated strictly per trace in ascending index
-          // order in both engines; the bitsliced one only batches the
-          // *capture* (64 traces per gate pass), so the two engines'
-          // reports are bit-identical.
+          // Capture 64 traces per gate pass, then accumulate the sums
+          // strictly per trace in ascending index order.
           constexpr std::uint64_t kL =
               static_cast<std::uint64_t>(PowerTraceSimulator::kLanes);
           CpaSums local(samples);
@@ -126,13 +113,7 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
             }
           };
 
-          TraceScratch scratch;
-          BlockScratch block_scratch;
-          if (use_block) {
-            block_scratch = target.make_block_scratch();
-          } else {
-            scratch = target.make_scratch();
-          }
+          BlockScratch block_scratch = target.make_block_scratch();
           for (std::uint64_t k = r.begin; k < r.end; k += kL) {
             const std::size_t n_act =
                 static_cast<std::size_t>(std::min(kL, r.end - k));
@@ -142,16 +123,9 @@ CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
                   static_cast<std::uint8_t>(rngs[j].next_u64() & 0xFF);
               values[j] = static_cast<std::uint32_t>(plains[j] ^ key);
             }
-            if (use_block) {
-              target.capture_block({values.data(), n_act},
-                                   {rngs.data(), n_act}, block_scratch,
-                                   {rows.data(), n_act * samp});
-            } else {
-              for (std::size_t j = 0; j < n_act; ++j) {
-                target.capture(values[j], rngs[j], scratch,
-                               {rows.data() + j * samp, samp});
-              }
-            }
+            target.capture_block({values.data(), n_act},
+                                 {rngs.data(), n_act}, block_scratch,
+                                 {rows.data(), n_act * samp});
             for (std::size_t j = 0; j < n_act; ++j) {
               accumulate_trace(plains[j], rows.data() + j * samp);
             }

@@ -29,12 +29,6 @@ struct CpaConfig {
   /// Traces per parallel chunk (multiple of 64 keeps bitsliced blocks
   /// full).
   std::uint64_t grain = 256;
-  /// Evaluation engine: 64 = bitsliced block capture, 1 = scalar oracle.
-  /// The correlation sums are accumulated per trace in ascending index
-  /// order in both modes, so reports are bit-identical between them (and
-  /// at any thread count). Falls back to scalar when the target cannot
-  /// block-capture.
-  int lanes = PowerTraceSimulator::kLanes;
 };
 
 struct CpaCheckpoint {
@@ -56,9 +50,12 @@ struct CpaReport {
   std::vector<double> correlation;
 };
 
-/// Run the CPA attack: the target evaluates S-box input p ^ key per trace
-/// (plaintexts derived from seed-split streams, MSB-first bit mapping as
-/// in analysis::aes_sbox_circuit). Deterministic at any thread count.
+/// Run the CPA attack on the 64-lane engine: trace i draws its plaintext p
+/// as the low byte of the first next_u64() of seed-split(i), then the
+/// target captures S-box input p ^ key from that same stream (MSB-first
+/// bit mapping as in analysis::aes_sbox_circuit). The Pearson sums fold
+/// per trace in ascending index order within a chunk and merge chunks in
+/// order, so the report is deterministic at any thread count.
 CpaReport cpa_sbox_attack(const MaskedTraceTarget& target, std::uint8_t key,
                           int n_traces, const CpaConfig& config = {});
 

@@ -7,9 +7,11 @@
 // emits one power trace. At order 0 the sharing is trivial and the target
 // degenerates to the unprotected implementation.
 //
-// capture_batch shards trace acquisition through src/common/parallel with
-// one derived RNG stream per trace index (Xoshiro256::split), so a batch
-// is bit-identical for every --threads N.
+// capture() is the per-trace reference oracle; capture_block, and
+// capture_batch built on it, are the 64-lane engine. capture_batch shards
+// acquisition through src/common/parallel with one derived RNG stream per
+// trace index (Xoshiro256::split), so a batch is bit-identical for every
+// --threads N and equal to a capture() loop over the same streams.
 #pragma once
 
 #include <cstdint>
@@ -52,12 +54,6 @@ class MaskedTraceTarget {
   void capture(std::uint32_t plain_value, Xoshiro256& rng,
                TraceScratch& scratch, std::span<double> out) const;
 
-  /// True when the bitsliced capture_block path applies (Hamming-weight
-  /// model; the HD model stays on the scalar path).
-  bool supports_block_capture() const {
-    return simulator_.supports_block_capture();
-  }
-
   BlockScratch make_block_scratch() const {
     return simulator_.make_block_scratch();
   }
@@ -74,14 +70,6 @@ class MaskedTraceTarget {
                      std::span<Xoshiro256> rngs, BlockScratch& scratch,
                      std::span<double> out,
                      BlockLayout layout = BlockLayout::kTraceMajor) const;
-
-  /// Noiseless capture_block variant emitting raw sample-major Hamming
-  /// counts as bytes (see PowerTraceSimulator::capture_block_counts);
-  /// feeds the exact integer TVLA fold. Throws when noise_sigma > 0 or
-  /// when counts do not fit a byte (counter_planes > 8).
-  void capture_block_counts(std::span<const std::uint32_t> plain_values,
-                            std::span<Xoshiro256> rngs, BlockScratch& scratch,
-                            std::span<std::uint8_t> out) const;
 
   BlockSumsAccum make_block_sums_accum() const {
     return simulator_.make_block_sums_accum();
@@ -138,17 +126,13 @@ struct TraceBatch {
 using PlainValueFn =
     std::function<std::uint32_t(std::uint64_t index, Xoshiro256& rng)>;
 
-/// Deterministic parallel batch capture: trace i draws everything from
-/// base_rng.split(i), rows are written independently, so the batch depends
-/// only on (target, n_traces, plain, base_rng) -- never the thread count
-/// and never the lane width. `lanes` selects the evaluation engine: 64
-/// shards the batch into aligned 64-trace blocks captured bitsliced (one
-/// gate pass per block), 1 is the scalar differential oracle. Both produce
-/// bit-identical batches; 64 silently falls back to 1 when the target
-/// cannot block-capture (Hamming-distance model).
+/// Deterministic parallel batch capture on the 64-lane engine: aligned
+/// 64-trace blocks, one gate pass each. Row i equals
+///   rng = base_rng.split(i); target.capture(plain(i, rng), rng, ...)
+/// bit for bit, so the batch depends only on (target, n_traces, plain,
+/// base_rng) -- never the thread count.
 TraceBatch capture_batch(const MaskedTraceTarget& target,
                          std::uint64_t n_traces, const PlainValueFn& plain,
-                         const Xoshiro256& base_rng,
-                         int lanes = PowerTraceSimulator::kLanes);
+                         const Xoshiro256& base_rng);
 
 }  // namespace convolve::sca

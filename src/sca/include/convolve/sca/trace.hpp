@@ -6,15 +6,20 @@
 // randoms and constants at depth 0; a gate one past its deepest fan-in),
 // and one evaluation emits one power sample per depth group:
 //
-//   * Hamming-weight model  -- sample[d] = sum of wire values at depth d
-//     (registers settling from a precharged all-zero state);
-//   * Hamming-distance model -- sample[d] = sum of wire toggles between
-//     two consecutive evaluations (capture_transition).
+//   * capture / capture_block -- Hamming weight: sample[d] = sum of wire
+//     values at depth d (registers settling from a precharged all-zero
+//     state);
+//   * capture_transition -- Hamming distance: sample[d] = sum of wire
+//     toggles between two consecutive evaluations.
 //
 // Optional Gaussian noise is added per sample. All randomness (gadget
 // randoms, noise) is drawn from a caller-provided Xoshiro256, so a trace
 // is a pure function of (circuit, inputs, rng state) -- the property the
 // deterministic parallel capture path builds on.
+//
+// capture() is the scalar reference oracle; capture_block and
+// accumulate_block_sums are the 64-lane engine every campaign runs on, and
+// must reproduce capture() bit for bit (tests/sca/test_bitslice_*.cpp).
 #pragma once
 
 #include <cstdint>
@@ -26,9 +31,10 @@
 
 namespace convolve::sca {
 
+// One value: kept as a type because existing callers spell it out in
+// TraceConfig{PowerModel::kHammingWeight, sigma}.
 enum class PowerModel : std::uint8_t {
-  kHammingWeight,    // value leakage (settle from precharge)
-  kHammingDistance,  // toggle leakage between consecutive evaluations
+  kHammingWeight,  // value leakage (settle from precharge)
 };
 
 struct TraceConfig {
@@ -41,7 +47,7 @@ struct TraceScratch {
   std::vector<std::uint8_t> inputs;
   std::vector<std::uint8_t> randoms;
   std::vector<std::uint8_t> wire;       // current evaluation
-  std::vector<std::uint8_t> wire_prev;  // previous evaluation (HD model)
+  std::vector<std::uint8_t> wire_prev;  // first evaluation of a transition
 };
 
 /// Per-worker buffers for the bitsliced block capture path: inputs,
@@ -115,11 +121,6 @@ class PowerTraceSimulator {
                           TraceScratch& scratch,
                           std::span<double> out) const;
 
-  /// True when capture_block is available for this configuration (only the
-  /// Hamming-weight model bitslices; the HD model keeps the scalar path).
-  bool supports_block_capture() const {
-    return config_.model == PowerModel::kHammingWeight;
-  }
   /// Vertical-counter planes per depth group: bit_width of the largest
   /// group's gate count (each group's Hamming sum fits in that many bits).
   int counter_planes() const { return counter_planes_; }
@@ -135,25 +136,10 @@ class PowerTraceSimulator {
   /// is the number of active lanes (1..kLanes); inactive tail lanes still
   /// flow through the gate pass but are never extracted, drawn for, or
   /// emitted -- tail blocks cost one pass like full ones. `out` must have
-  /// size rngs.size() * samples_per_trace(). Throws if the configuration
-  /// does not support block capture (see supports_block_capture()).
+  /// size rngs.size() * samples_per_trace().
   void capture_block(std::span<Xoshiro256> rngs, BlockScratch& scratch,
                      std::span<double> out,
                      BlockLayout layout = BlockLayout::kTraceMajor) const;
-
-  /// Noiseless variant of capture_block that skips the double conversion:
-  /// the raw per-depth-group Hamming counts land sample-major in `out`
-  /// (out[s * rngs.size() + j] == lane j's count at sample s). The values
-  /// equal capture_block's exactly -- noiseless samples are integers --
-  /// which is what the exact integer TVLA fold consumes. Byte output is
-  /// deliberate: with counter_planes() <= 8 a full block's sample column
-  /// is stored straight from the spread-table accumulators, making this
-  /// the cheapest way out of the bitsliced domain. Throws when
-  /// noise_sigma > 0 (noise only exists in the double domain), when
-  /// counter_planes() > 8 (counts would not fit a byte), or when the
-  /// configuration does not block-capture.
-  void capture_block_counts(std::span<Xoshiro256> rngs, BlockScratch& scratch,
-                            std::span<std::uint8_t> out) const;
 
   BlockSumsAccum make_block_sums_accum() const;
 
@@ -168,8 +154,9 @@ class PowerTraceSimulator {
   /// call serves both TVLA classes. The coefficient multiplies are
   /// deferred to finalize_block_sums; the caller must finalize before the
   /// packed fields could overflow (<= ~320 traces per batch, the same
-  /// bound PackedMoments needs). Throws under the capture_block_counts
-  /// conditions (noise, counter_planes > 8, no block capture).
+  /// bound PackedMoments needs). Throws when noise_sigma > 0 (noise only
+  /// exists in the double domain) or counter_planes() > 8 (counts would
+  /// overflow the packed fields).
   void accumulate_block_sums(std::span<Xoshiro256> rngs, BlockScratch& scratch,
                              std::uint64_t class_mask,
                              BlockSumsAccum& accum) const;
@@ -178,8 +165,8 @@ class PowerTraceSimulator {
   /// lanes to `in_class` and of the remaining active lanes to `out_class`
   /// (both size samples_per_trace()), then zero the accumulator. The sums
   /// equal a per-lane scalar fold exactly -- integer arithmetic throughout
-  /// -- which is what keeps the bitsliced and scalar TVLA engines
-  /// bit-identical.
+  /// -- so the exact TVLA fold depends on the traces alone, never on how
+  /// they were grouped into blocks.
   void finalize_block_sums(BlockSumsAccum& accum,
                            std::span<PackedMoments> in_class,
                            std::span<PackedMoments> out_class) const;

@@ -10,10 +10,14 @@
 //   second order -- Welch t between the centered squares (x - mean)^2,
 //                   computed from one-pass central moments,
 //
-// and flag leakage when max |t| over the trace exceeds 4.5. Accumulation
-// uses Welford accumulators sharded through src/common/parallel and merged
-// in rank order, so every verdict and every point of the max-|t|-vs-traces
-// curve is bit-identical for any --threads N.
+// and flag leakage when max |t| over the trace exceeds 4.5. Traces are
+// captured on the 64-lane engine; noiseless targets fold exact integer
+// power sums straight from the counter planes, noisy ones fold 64-trace
+// double blocks. Welford accumulators are sharded through src/common/
+// parallel and merged in rank order, so every verdict and every point of
+// the max-|t|-vs-traces curve is bit-identical for any --threads N. The
+// statistics equal a per-trace Welford::add fold of the oracle traces
+// (MaskedTraceTarget::capture) up to rounding.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +37,6 @@ struct TvlaConfig {
   /// Traces per parallel chunk. A multiple of 64 keeps the bitsliced
   /// blocks inside a chunk full (only one tail block per chunk).
   std::uint64_t grain = 256;
-  /// Evaluation engine: 64 = bitsliced (64 traces per gate pass), 1 =
-  /// scalar differential oracle. Both modes shard traces into the same
-  /// 64-trace accumulation blocks and fold them through the same
-  /// Welford::add_block calls, so the resulting statistics -- every
-  /// checkpoint of the curve included -- are bit-identical, not merely
-  /// close. 64 falls back to the scalar engine when the target cannot
-  /// block-capture (Hamming-distance model).
-  int lanes = PowerTraceSimulator::kLanes;
 };
 
 struct TvlaCheckpoint {
@@ -68,7 +64,10 @@ struct TvlaReport {
 
 /// Fixed-vs-random TVLA on a masked target. Trace index i belongs to the
 /// fixed class iff i is even; everything trace i consumes derives from
-/// seed-split(i), so the report is deterministic at any thread count.
+/// rng = seed-split(i): a random-class trace first draws its plain value as
+/// static_cast<uint32_t>(rng.next_u64()) masked to plain_inputs() bits,
+/// then captures from the same stream. The report is deterministic at any
+/// thread count.
 TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
                                 std::uint32_t fixed_value, int n_traces,
                                 const TvlaConfig& config = {});

@@ -61,9 +61,9 @@ void MaskedTraceTarget::capture(std::uint32_t plain_value, Xoshiro256& rng,
     scratch.inputs[base + order] = bit;
   }
   simulator_.capture(scratch.inputs, rng, scratch, out);
-  // Counted here, at the single choke-point every capture path funnels
-  // through (tvla, cpa, capture_batch, capture_averaged). Two relaxed adds
-  // per trace are noise next to the gate-level simulation above.
+  // Counted per trace here and per block in the block paths below, so
+  // sca.traces_captured covers the oracle and the 64-lane engine alike.
+  // Two relaxed adds per trace are noise next to the gate-level simulation.
   CONVOLVE_TELEMETRY_ONLY(t_traces.add(1); t_samples.add(out.size());)
 }
 
@@ -132,19 +132,6 @@ void MaskedTraceTarget::capture_block(
       t_lanes_active.add(n_active);)
 }
 
-void MaskedTraceTarget::capture_block_counts(
-    std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
-    BlockScratch& scratch, std::span<std::uint8_t> out) const {
-  const std::size_t n_active = plain_values.size();
-  fill_input_planes(plain_values, rngs, scratch);
-  simulator_.capture_block_counts(rngs, scratch, out);
-  CONVOLVE_TELEMETRY_ONLY(
-      t_traces.add(n_active); t_samples.add(out.size());
-      t_lane_blocks.add(1);
-      t_lane_slots.add(static_cast<std::uint64_t>(PowerTraceSimulator::kLanes));
-      t_lanes_active.add(n_active);)
-}
-
 void MaskedTraceTarget::accumulate_block_sums(
     std::span<const std::uint32_t> plain_values, std::span<Xoshiro256> rngs,
     BlockScratch& scratch, std::uint64_t class_mask,
@@ -171,13 +158,10 @@ std::vector<double> MaskedTraceTarget::capture_averaged(
 
 TraceBatch capture_batch(const MaskedTraceTarget& target,
                          std::uint64_t n_traces, const PlainValueFn& plain,
-                         const Xoshiro256& base_rng, int lanes) {
+                         const Xoshiro256& base_rng) {
   CONVOLVE_TRACE_SPAN("sca.capture_batch");
   constexpr std::uint64_t kL =
       static_cast<std::uint64_t>(PowerTraceSimulator::kLanes);
-  if (lanes != 1 && lanes != PowerTraceSimulator::kLanes) {
-    throw std::invalid_argument("capture_batch: lanes must be 1 or 64");
-  }
   TraceBatch batch;
   batch.samples = target.samples();
   batch.n = n_traces;
@@ -185,45 +169,27 @@ TraceBatch capture_batch(const MaskedTraceTarget& target,
                     0.0);
   const std::uint64_t samples = static_cast<std::uint64_t>(batch.samples);
 
-  if (lanes != 1 && target.supports_block_capture()) {
-    // Bitsliced: shard over aligned 64-trace blocks. Row i still depends
-    // only on base_rng.split(i), so the batch matches the scalar path
-    // bit-for-bit at any thread count.
-    const std::uint64_t n_blocks = (n_traces + kL - 1) / kL;
-    const std::uint64_t n_chunks = par::chunk_count(n_blocks, 4);
-    par::for_each_chunk(n_chunks, [&](std::uint64_t c) {
-      const par::Range r = par::chunk_range(n_blocks, n_chunks, c);
-      BlockScratch scratch = target.make_block_scratch();
-      std::array<Xoshiro256, kL> rngs;
-      std::array<std::uint32_t, kL> values;
-      for (std::uint64_t b = r.begin; b < r.end; ++b) {
-        const std::uint64_t i0 = b * kL;
-        const std::size_t n_act =
-            static_cast<std::size_t>(std::min(kL, n_traces - i0));
-        for (std::size_t j = 0; j < n_act; ++j) {
-          rngs[j] = base_rng.split(i0 + j);
-          values[j] = plain(i0 + j, rngs[j]);
-        }
-        target.capture_block({values.data(), n_act}, {rngs.data(), n_act},
-                             scratch,
-                             {batch.data.data() + i0 * samples,
-                              n_act * static_cast<std::size_t>(samples)});
-      }
-    });
-    return batch;
-  }
-
-  const std::uint64_t grain = 32;
-  const std::uint64_t n_chunks = par::chunk_count(n_traces, grain);
+  // Shard over aligned 64-trace blocks. Row i depends only on
+  // base_rng.split(i), so the batch is the same at any thread count.
+  const std::uint64_t n_blocks = (n_traces + kL - 1) / kL;
+  const std::uint64_t n_chunks = par::chunk_count(n_blocks, 4);
   par::for_each_chunk(n_chunks, [&](std::uint64_t c) {
-    const par::Range r = par::chunk_range(n_traces, n_chunks, c);
-    TraceScratch scratch = target.make_scratch();
-    for (std::uint64_t i = r.begin; i < r.end; ++i) {
-      Xoshiro256 rng = base_rng.split(i);
-      const std::uint32_t value = plain(i, rng);
-      std::span<double> out{batch.data.data() + i * samples,
-                            static_cast<std::size_t>(samples)};
-      target.capture(value, rng, scratch, out);
+    const par::Range r = par::chunk_range(n_blocks, n_chunks, c);
+    BlockScratch scratch = target.make_block_scratch();
+    std::array<Xoshiro256, kL> rngs;
+    std::array<std::uint32_t, kL> values;
+    for (std::uint64_t b = r.begin; b < r.end; ++b) {
+      const std::uint64_t i0 = b * kL;
+      const std::size_t n_act =
+          static_cast<std::size_t>(std::min(kL, n_traces - i0));
+      for (std::size_t j = 0; j < n_act; ++j) {
+        rngs[j] = base_rng.split(i0 + j);
+        values[j] = plain(i0 + j, rngs[j]);
+      }
+      target.capture_block({values.data(), n_act}, {rngs.data(), n_act},
+                           scratch,
+                           {batch.data.data() + i0 * samples,
+                            n_act * static_cast<std::size_t>(samples)});
     }
   });
   return batch;

@@ -172,7 +172,7 @@ PowerTraceSimulator::PowerTraceSimulator(const masking::Circuit& circuit,
   // expanding v^k collapses every term onto a *subset* T of planes; the
   // coefficient of popcount(AND of T) follows by inclusion-exclusion over
   // sub-subsets, where a subset's weight sum_p 2^p is just its mask value.
-  if (supports_block_capture() && counter_planes_ <= 8) {
+  if (counter_planes_ <= 8) {
     const std::size_t nsub =
         (static_cast<std::size_t>(1) << counter_planes_) - 1;
     k13_.assign(nsub + 1, 0);
@@ -306,10 +306,6 @@ void PowerTraceSimulator::block_evaluate(std::span<Xoshiro256> rngs,
                                          BlockScratch& scratch,
                                          std::size_t out_size) const {
   const std::size_t n_active = rngs.size();
-  if (!supports_block_capture()) {
-    throw std::invalid_argument(
-        "capture_block: only the Hamming-weight model is bitsliced");
-  }
   if (n_active == 0 || n_active > static_cast<std::size_t>(kLanes)) {
     throw std::invalid_argument("capture_block: need 1..64 active lanes");
   }
@@ -425,35 +421,6 @@ void PowerTraceSimulator::capture_block(std::span<Xoshiro256> rngs,
                               static_cast<std::size_t>(samples_)));
       }
     }
-  }
-}
-
-void PowerTraceSimulator::capture_block_counts(
-    std::span<Xoshiro256> rngs, BlockScratch& scratch,
-    std::span<std::uint8_t> out) const {
-  if (config_.noise_sigma > 0.0) {
-    throw std::invalid_argument(
-        "capture_block_counts: noise only exists in the double domain");
-  }
-  if (counter_planes_ > 8) {
-    throw std::invalid_argument(
-        "capture_block_counts: counts exceed a byte (counter_planes > 8)");
-  }
-  const std::size_t n_active = rngs.size();
-  block_evaluate(rngs, scratch, out.size());
-  if (n_active == static_cast<std::size_t>(kLanes)) {
-    // Full block: the extractor's 64-byte output IS the sample column.
-    for (int s = 0; s < samples_; ++s) {
-      extract_sample_bytes(scratch, s,
-                           out.data() + static_cast<std::size_t>(s) * n_active);
-    }
-    return;
-  }
-  std::uint8_t vals[kLanes];
-  for (int s = 0; s < samples_; ++s) {
-    extract_sample_bytes(scratch, s, vals);
-    std::uint8_t* col = out.data() + static_cast<std::size_t>(s) * n_active;
-    for (std::size_t j = 0; j < n_active; ++j) col[j] = vals[j];
   }
 }
 

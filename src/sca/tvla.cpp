@@ -7,6 +7,7 @@
 
 #include "convolve/common/parallel.hpp"
 #include "convolve/common/telemetry.hpp"
+#include "checkpoints.hpp"
 
 namespace convolve::sca {
 
@@ -33,22 +34,11 @@ struct Moments {
 // Hamming-weight samples are small integers, so S1..S4 accumulate exactly
 // -- no rounding, no accumulation-order sensitivity -- and the first four
 // central moments follow from them with exact 128-bit integer numerators.
-// This is both the fast path (integer adds instead of a two-pass double
-// fold) and the strongest determinism story: any capture engine, lane
-// width, or walk order produces the same sums bit-for-bit.
+// accumulate_block_sums reaches these sums through subset popcounts of the
+// counter planes without ever extracting a lane. Batches are capped by
+// exact_flush_threshold so the four fields cannot carry into each other:
+// S1 < 2^16, S3 < 2^48, S2 < 2^24, S4 < 2^40.
 //
-// The scalar oracle folds per value v < 256 with two table loads adding
-// (v | v^3 << 16) and (v^2 | v^4 << 24); the bitsliced engine reaches the
-// *same* sums through subset popcounts of the counter planes
-// (accumulate_block_sums) without ever extracting a lane. Batches are
-// capped by exact_flush_threshold so the four fields cannot carry into
-// each other: S1 < 2^16, S3 < 2^48, S2 < 2^24, S4 < 2^40.
-inline void add_packed(PackedMoments& pm, std::uint64_t p13,
-                       std::uint64_t p24) {
-  pm.s13 += p13;
-  pm.s24 += p24;
-}
-
 // Central moment sums from the unpacked power sums: the numerators are
 // exact in __int128 (values < 2^8, batches of <= 320 traces), so the
 // only rounding is the final int->double conversion and one division --
@@ -73,22 +63,6 @@ Welford packed_to_welford(const PackedMoments& pm, std::uint64_t n) {
       static_cast<double>(m4n) / (dn * dn * dn));
 }
 
-// Packed power lookup tables: kPow13[v] = v | v^3 << 16 and
-// kPow24[v] = v^2 | v^4 << 24 for v in 0..255 (4 KiB total, L1-resident).
-struct PowTables {
-  std::uint64_t p13[256];
-  std::uint64_t p24[256];
-};
-constexpr PowTables kPow = [] {
-  PowTables t{};
-  for (std::uint64_t v = 0; v < 256; ++v) {
-    const std::uint64_t u = v * v;
-    t.p13[v] = v | (u * v) << 16;
-    t.p24[v] = u | (u * u) << 24;
-  }
-  return t;
-}();
-
 // Traces accumulated into one PackedMoments batch before converting to a
 // Welford merge. The limit keeps every packed field from overflowing: with
 // counter values <= vmax = 2^planes - 1 a class of n traces needs
@@ -98,8 +72,9 @@ constexpr PowTables kPow = [] {
 // with at most (threshold + 64) / 2 per class. Flushing is real work
 // (per-sample __int128 moment conversion plus two Welford merges), so the
 // largest safe batch matters: planes = 4 flushes ~32x less often than the
-// worst case. Depends only on the target's plane count, so both engines
-// and every lane width flush at identical trace boundaries.
+// worst case. Depends only on the target's plane count, so the flush
+// points -- chunk boundaries being f(n, grain) -- are thread-count
+// invariant.
 std::uint64_t exact_flush_threshold(int counter_planes) {
   if (counter_planes <= 0) return 1ull << 20;  // all counts are zero
   const std::uint64_t vmax = (1ull << counter_planes) - 1;
@@ -109,38 +84,36 @@ std::uint64_t exact_flush_threshold(int counter_planes) {
   return 2 * per_class - 64;
 }
 
-std::vector<int> default_checkpoints(int n_traces) {
-  std::vector<int> cps;
-  for (int c = 256; c < n_traces; c *= 2) cps.push_back(c);
-  cps.push_back(n_traces);
-  return cps;
-}
-
 }  // namespace
 
 TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
                                 std::uint32_t fixed_value, int n_traces,
                                 const TvlaConfig& config) {
   if (n_traces < 4) throw std::invalid_argument("tvla: need >= 4 traces");
-  if (config.lanes != 1 && config.lanes != PowerTraceSimulator::kLanes) {
-    throw std::invalid_argument("tvla: lanes must be 1 or 64");
-  }
   CONVOLVE_TRACE_SPAN("sca.tvla");
-  const bool use_block =
-      config.lanes != 1 && target.supports_block_capture();
   // The exact integer fold applies whenever samples are noiseless integer
   // Hamming counts small enough for uint64 power sums (counter_planes <= 8
-  // means values < 256). It is a property of the *target*, not the lane
-  // width, so lanes=1 and lanes=64 runs always sit on the same fold and
-  // stay bit-identical.
-  const bool exact_fold = target.supports_block_capture() &&
-                          target.simulator().config().noise_sigma == 0.0 &&
+  // means values < 256); otherwise blocks are captured as doubles and
+  // folded through Welford::add_block.
+  const bool exact_fold = target.simulator().config().noise_sigma == 0.0 &&
                           target.simulator().counter_planes() <= 8;
   const int samples = target.samples();
   const std::uint32_t value_mask =
       target.plain_inputs() >= 32
           ? 0xFFFFFFFFu
           : (1u << target.plain_inputs()) - 1u;
+  const auto draw_value = [&](std::uint64_t i, Xoshiro256& rng) {
+    return (i % 2 == 0)
+               ? fixed_value
+               : static_cast<std::uint32_t>(rng.next_u64()) & value_mask;
+  };
+  // A fixed-class trace of an unshared, randomless, noiseless target never
+  // reads its per-trace rng: the split state is unobservable, so skipping
+  // the split is bit-identical to the contractual "trace i draws from
+  // base.split(i)" and halves the per-block rng setup. Random-class traces
+  // still split (the plain-value draw consumes the stream).
+  const bool rng_unused = exact_fold && target.masking_order() == 0 &&
+                          target.simulator().circuit().num_randoms() == 0;
 
   std::vector<int> checkpoints = config.checkpoints.empty()
                                      ? default_checkpoints(n_traces)
@@ -164,43 +137,29 @@ TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
     Moments segment = par::parallel_reduce(
         seg, config.grain, Moments(samples),
         [&](std::uint64_t, par::Range r) {
-          // Both engines walk the chunk in 64-trace blocks anchored at
-          // r.begin (chunk boundaries are f(n, grain), never thread
-          // count): the bitsliced one captures a block in one gate pass,
-          // the scalar oracle captures the same rows one trace at a time.
-          // Accumulation is the shared fold below in both cases, which is
-          // what makes the two engines' statistics bit-identical.
+          // Walk the chunk in 64-trace blocks anchored at r.begin (chunk
+          // boundaries are f(n, grain), never the thread count), one gate
+          // pass per block.
           constexpr std::uint64_t kL =
               static_cast<std::uint64_t>(PowerTraceSimulator::kLanes);
           Moments local(samples);
           const std::size_t samp = static_cast<std::size_t>(samples);
-          const auto draw_exact_value = [&](std::uint64_t i,
-                                            Xoshiro256& rng) {
-            return (i % 2 == 0)
-                       ? fixed_value
-                       : static_cast<std::uint32_t>(rng.next_u64()) &
-                             value_mask;
+          std::array<Xoshiro256, kL> rngs;
+          std::array<std::uint32_t, kL> values;
+          BlockScratch block_scratch = target.make_block_scratch();
+          const auto draw_block = [&](std::uint64_t i0, std::size_t n_act) {
+            for (std::size_t j = 0; j < n_act; ++j) {
+              const std::uint64_t gi = i0 + j;
+              if (!rng_unused || gi % 2 != 0) rngs[j] = base.split(gi);
+              values[j] = draw_value(gi, rngs[j]);
+            }
           };
           if (exact_fold) {
             // Exact integer fold: accumulate per-sample per-class packed
-            // power sums over kExactFlush-trace batches, convert each
-            // batch to a Welford merge with exact 128-bit numerators.
-            // Both engines walk the same 64-trace blocks and flush at the
-            // same boundaries, and integer sums are order-exact, so the
-            // folded moments are bit-identical by construction.
+            // power sums over flush_at-trace batches, convert each batch
+            // to a Welford merge with exact 128-bit numerators.
             std::vector<PackedMoments> ifx(samp), irn(samp);
-            std::vector<double> trace(samp);
-            std::array<Xoshiro256, kL> rngs;
-            std::array<std::uint32_t, kL> values;
-            TraceScratch scratch;
-            BlockScratch block_scratch;
-            BlockSumsAccum accum;
-            if (use_block) {
-              block_scratch = target.make_block_scratch();
-              accum = target.make_block_sums_accum();
-            } else {
-              scratch = target.make_scratch();
-            }
+            BlockSumsAccum accum = target.make_block_sums_accum();
             // Fixed-class lanes of every block in this chunk: block starts
             // step by 64, so the global parity of lane j is constant
             // across the chunk and the class mask can be hoisted.
@@ -209,26 +168,13 @@ TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
                 ((offset + r.begin) % 2 == 0) ? kEvenLanes : ~kEvenLanes;
             const std::uint64_t flush_at =
                 exact_flush_threshold(target.simulator().counter_planes());
-            // A fixed-class trace of an unshared, randomless, noiseless
-            // target never reads its per-trace rng: the split state is
-            // unobservable, so skipping the split is bit-identical to the
-            // contractual "trace i draws from base.split(i)" and halves
-            // the per-block rng setup. Random-class traces still split
-            // (the plain-value draw consumes the stream).
-            const bool rng_unused =
-                target.masking_order() == 0 &&
-                target.simulator().circuit().num_randoms() == 0;
             std::uint64_t batch_nf = 0, batch_nr = 0;
             const auto flush = [&]() {
               if (batch_nf + batch_nr == 0) return;
-              if (use_block) {
-                target.finalize_block_sums(accum, ifx, irn);
-              }
+              target.finalize_block_sums(accum, ifx, irn);
               for (std::size_t s = 0; s < samp; ++s) {
                 local.fixed[s].merge(packed_to_welford(ifx[s], batch_nf));
                 local.random[s].merge(packed_to_welford(irn[s], batch_nr));
-                ifx[s] = PackedMoments{};
-                irn[s] = PackedMoments{};
               }
               batch_nf = 0;
               batch_nr = 0;
@@ -237,68 +183,37 @@ TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
               const std::uint64_t i0 = offset + k;
               const std::size_t n_act =
                   static_cast<std::size_t>(std::min(kL, r.end - k));
-              if (use_block) {
-                for (std::size_t j = 0; j < n_act; ++j) {
-                  const std::uint64_t gi = i0 + j;
-                  if (!rng_unused || gi % 2 != 0) rngs[j] = base.split(gi);
-                  values[j] = draw_exact_value(gi, rngs[j]);
-                }
-                target.accumulate_block_sums({values.data(), n_act},
-                                             {rngs.data(), n_act},
-                                             block_scratch, fixed_mask,
-                                             accum);
-              } else {
-                Xoshiro256 rng;
-                for (std::size_t j = 0; j < n_act; ++j) {
-                  const std::uint64_t gi = i0 + j;
-                  if (!rng_unused || gi % 2 != 0) rng = base.split(gi);
-                  const std::uint32_t value = draw_exact_value(gi, rng);
-                  target.capture(value, rng, scratch, trace);
-                  std::vector<PackedMoments>& cls =
-                      ((i0 + j) % 2 == 0) ? ifx : irn;
-                  for (std::size_t s = 0; s < samp; ++s) {
-                    const auto v =
-                        static_cast<std::size_t>(trace[s]);
-                    add_packed(cls[s], kPow.p13[v], kPow.p24[v]);
-                  }
-                }
-              }
-              // Class populations of this block: even global trace indices
-              // are the fixed class.
-              const std::uint64_t first_parity_count =
-                  (static_cast<std::uint64_t>(n_act) + 1) / 2;
-              const std::uint64_t second_parity_count =
-                  static_cast<std::uint64_t>(n_act) / 2;
-              if (i0 % 2 == 0) {
-                batch_nf += first_parity_count;
-                batch_nr += second_parity_count;
-              } else {
-                batch_nr += first_parity_count;
-                batch_nf += second_parity_count;
-              }
+              draw_block(i0, n_act);
+              target.accumulate_block_sums({values.data(), n_act},
+                                           {rngs.data(), n_act},
+                                           block_scratch, fixed_mask,
+                                           accum);
+              // Even global trace indices are the fixed class.
+              const std::uint64_t n_even =
+                  (i0 % 2 == 0) ? (n_act + 1) / 2 : n_act / 2;
+              batch_nf += n_even;
+              batch_nr += n_act - n_even;
               if (batch_nf + batch_nr >= flush_at) flush();
             }
             flush();
             return local;
           }
-          // `rows` holds one block sample-major: sample s's column of up
-          // to 64 lane values is contiguous, so the fold below streams
-          // through memory. The scalar oracle transposes its per-trace
-          // captures into the same layout, keeping the fold literally
-          // shared between the engines.
+          // Double fold: capture each block sample-major, so sample s's
+          // column of up to 64 lane values is contiguous, then split the
+          // column by trace parity (even global index -> fixed class) and
+          // merge each class as one Welford block.
           std::vector<double> rows(static_cast<std::size_t>(kL) * samp);
-          std::vector<double> trace(samp);
           std::vector<double> col_f(static_cast<std::size_t>(kL));
           std::vector<double> col_r(static_cast<std::size_t>(kL));
-          std::array<Xoshiro256, kL> rngs;
-          std::array<std::uint32_t, kL> values;
-
-          // Fold one block: per sample, split that sample's column by
-          // trace parity (even global index -> fixed class) and merge
-          // each class as one Welford block. The folded values and their
-          // order are a pure function of the trace contents, so both
-          // engines produce bit-identical moments.
-          const auto fold_rows = [&](std::uint64_t i0, std::size_t n_act) {
+          for (std::uint64_t k = r.begin; k < r.end; k += kL) {
+            const std::uint64_t i0 = offset + k;
+            const std::size_t n_act =
+                static_cast<std::size_t>(std::min(kL, r.end - k));
+            draw_block(i0, n_act);
+            target.capture_block({values.data(), n_act},
+                                 {rngs.data(), n_act}, block_scratch,
+                                 {rows.data(), n_act * samp},
+                                 BlockLayout::kSampleMajor);
             for (std::size_t s = 0; s < samp; ++s) {
               const double* col = rows.data() + s * n_act;
               std::size_t nf = 0, nr = 0;
@@ -312,45 +227,6 @@ TvlaReport tvla_fixed_vs_random(const MaskedTraceTarget& target,
               local.fixed[s].add_block({col_f.data(), nf});
               local.random[s].add_block({col_r.data(), nr});
             }
-          };
-          const auto draw_value = [&](std::uint64_t i, Xoshiro256& rng) {
-            return (i % 2 == 0)
-                       ? fixed_value
-                       : static_cast<std::uint32_t>(rng.next_u64()) &
-                             value_mask;
-          };
-
-          TraceScratch scratch;
-          BlockScratch block_scratch;
-          if (use_block) {
-            block_scratch = target.make_block_scratch();
-          } else {
-            scratch = target.make_scratch();
-          }
-          for (std::uint64_t k = r.begin; k < r.end; k += kL) {
-            const std::uint64_t i0 = offset + k;
-            const std::size_t n_act =
-                static_cast<std::size_t>(std::min(kL, r.end - k));
-            if (use_block) {
-              for (std::size_t j = 0; j < n_act; ++j) {
-                rngs[j] = base.split(i0 + j);
-                values[j] = draw_value(i0 + j, rngs[j]);
-              }
-              target.capture_block({values.data(), n_act},
-                                   {rngs.data(), n_act}, block_scratch,
-                                   {rows.data(), n_act * samp},
-                                   BlockLayout::kSampleMajor);
-            } else {
-              for (std::size_t j = 0; j < n_act; ++j) {
-                Xoshiro256 rng = base.split(i0 + j);
-                const std::uint32_t value = draw_value(i0 + j, rng);
-                target.capture(value, rng, scratch, trace);
-                for (std::size_t s = 0; s < samp; ++s) {
-                  rows[s * n_act + j] = trace[s];
-                }
-              }
-            }
-            fold_rows(i0, n_act);
           }
           return local;
         },

@@ -150,6 +150,9 @@ class SecurityMonitor {
   friend struct SmSnapshot;
   Enclave& enclave_mut(int id);
   Bytes sealing_key(const Enclave& e) const;
+  /// Truncated HMAC-SHA512 of id_le32 || measurement under the local
+  /// attestation key: what local_attest hands out and verify checks.
+  Bytes local_attestation_mac(int target, ByteView measurement) const;
 };
 
 /// Frozen logical SM state for fork/resume (see SecurityMonitor::snapshot).

@@ -307,22 +307,25 @@ std::optional<Bytes> SecurityMonitor::unseal(int id, ByteView sealed_blob) {
   return opened;
 }
 
+Bytes SecurityMonitor::local_attestation_mac(int target,
+                                             ByteView measurement) const {
+  const Bytes key = crypto::hkdf(boot_.sealing_root, {},
+                                 as_bytes("convolve-local-attest-v1"), 32);
+  Bytes msg(4);
+  store_le32(msg.data(), static_cast<std::uint32_t>(target));
+  msg.insert(msg.end(), measurement.begin(), measurement.end());
+  Bytes mac = crypto::hmac_sha512(key, msg);
+  mac.resize(32);
+  return mac;
+}
+
 SecurityMonitor::LocalAttestation SecurityMonitor::local_attest(int target) {
   const Enclave& e = enclave(target);
   if (!e.alive) throw std::runtime_error("local_attest: destroyed");
   LocalAttestation token;
   token.target = target;
   token.target_measurement = e.measurement;
-  const Bytes key = crypto::hkdf(boot_.sealing_root, {},
-                                 as_bytes("convolve-local-attest-v1"), 32);
-  Bytes msg;
-  std::uint8_t id_le[4];
-  store_le32(id_le, static_cast<std::uint32_t>(target));
-  msg.insert(msg.end(), id_le, id_le + 4);
-  msg.insert(msg.end(), e.measurement.begin(), e.measurement.end());
-  Bytes mac = crypto::hmac_sha512(key, msg);
-  mac.resize(32);
-  token.mac = std::move(mac);
+  token.mac = local_attestation_mac(target, e.measurement);
   return token;
 }
 
@@ -332,17 +335,9 @@ bool SecurityMonitor::verify_local_attestation(
     CONVOLVE_RECORD_EVENT(kMeasurementMismatch, ctx_, 0, token.target);
     return false;
   }
-  const Bytes key = crypto::hkdf(boot_.sealing_root, {},
-                                 as_bytes("convolve-local-attest-v1"), 32);
-  Bytes msg;
-  std::uint8_t id_le[4];
-  store_le32(id_le, static_cast<std::uint32_t>(token.target));
-  msg.insert(msg.end(), id_le, id_le + 4);
-  msg.insert(msg.end(), token.target_measurement.begin(),
-             token.target_measurement.end());
-  Bytes mac = crypto::hmac_sha512(key, msg);
-  mac.resize(32);
-  const bool ok = ct_equal(mac, token.mac);
+  const bool ok = ct_equal(
+      local_attestation_mac(token.target, token.target_measurement),
+      token.mac);
   if (!ok) {
     CONVOLVE_RECORD_EVENT(kMeasurementMismatch, ctx_, 1, token.target);
   }

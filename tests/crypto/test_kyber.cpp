@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+
 #include "convolve/common/rng.hpp"
 
 namespace convolve::crypto::kyber {
@@ -103,6 +106,33 @@ TEST(Kyber, InputValidation) {
   EXPECT_THROW(encaps(kp.ek, Bytes(31, 0)), std::invalid_argument);
   EXPECT_THROW(decaps(kp.dk, Bytes(767, 0)), std::invalid_argument);
   EXPECT_THROW(decaps(Bytes(10, 0), Bytes(768, 0)), std::invalid_argument);
+}
+
+// The multiply-shift compress against the division it replaced, on every
+// input it can see, and compress_1 against the branchy centered-distance
+// decode pke_decrypt used before.
+TEST(Kyber, CompressMatchesDivisionOverWholeRange) {
+  for (int d = 1; d <= 13; ++d) {
+    for (int x = 0; x < kQ; ++x) {
+      const std::int64_t num = (static_cast<std::int64_t>(x) << d) + kQ / 2;
+      const auto expected =
+          static_cast<std::int16_t>((num / kQ) & ((1 << d) - 1));
+      ASSERT_EQ(compress(static_cast<std::int16_t>(x), d), expected)
+          << "d=" << d << " x=" << x;
+    }
+  }
+}
+
+TEST(Kyber, DecodeMatchesCenteredDistanceRule) {
+  int ones = 0;
+  for (int w = 0; w < kQ; ++w) {
+    const int centered = w > kQ / 2 ? w - kQ : w;
+    const int old_bit = std::abs(centered) > kQ / 4 ? 1 : 0;
+    ASSERT_EQ(compress(static_cast<std::int16_t>(w), 1), old_bit) << w;
+    ASSERT_EQ(old_bit, (w >= 833 && w <= 2496) ? 1 : 0) << w;
+    ones += old_bit;
+  }
+  EXPECT_EQ(ones, 2496 - 833 + 1);
 }
 
 }  // namespace

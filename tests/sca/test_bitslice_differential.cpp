@@ -1,28 +1,36 @@
-// Property-test harness for the bitsliced capture engine: the scalar
-// (lanes=1) path is the differential oracle, and randomized circuits x
-// secrets x noise seeds must agree with the 64-lane engine bit-for-bit --
-// raw trace batches, TVLA statistics (every checkpoint of the curve) and
-// CPA correlations alike, at every thread count.
+// Property-test harness for the 64-lane capture engine against the
+// per-trace oracle (tests/sca/oracle.hpp: MaskedTraceTarget::capture()
+// one trace at a time, folded with Welford::add or plain Pearson sums).
+// Randomized circuits x secrets x noise seeds must agree: raw trace
+// batches bit for bit, TVLA statistics (every checkpoint of the curve) and
+// CPA correlations to 1e-9 relative, at every thread count.
 //
-// Case budget (a "case" is one random circuit/secret/seed triple pushed
-// through both engines): 640 capture + 320 TVLA + 48 thread-sweep + 8 CPA
-// + 32 smoke = 1048 randomized cases per run, on top of the directed
-// edge-case suite in test_bitslice_lanes.cpp.
+// Case budget (a "case" is one random circuit/secret/seed triple): 640
+// capture + 320 TVLA + 48 thread-sweep + 8 CPA + 32 smoke = 1048
+// randomized cases per run, on top of the directed edge-case suite in
+// test_bitslice_lanes.cpp.
 //
 // The BitsliceSmoke-prefixed tests are a seconds-fast subset registered
 // under the `sca_fast` ctest label (`ctest -L sca_fast`); the Bitslice
 // tests are the full harness.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "convolve/analysis/aes_sbox.hpp"
+#include "convolve/common/bytes.hpp"
 #include "convolve/common/parallel.hpp"
 #include "convolve/common/rng.hpp"
+#include "convolve/common/stats.hpp"
+#include "convolve/masking/gf256.hpp"
 #include "convolve/sca/cpa.hpp"
 #include "convolve/sca/target.hpp"
 #include "convolve/sca/tvla.hpp"
+#include "oracle.hpp"
 
 namespace convolve::sca {
 namespace {
@@ -92,7 +100,7 @@ Case random_case(Xoshiro256& rng) {
 }
 
 // Random plain-value function mixing a per-case secret into rng-drawn
-// values, so both engines must agree on data-dependent inputs too.
+// values, so engine and oracle must agree on data-dependent inputs too.
 PlainValueFn random_plain_fn(std::uint32_t secret, int n_inputs) {
   const std::uint32_t mask =
       n_inputs >= 32 ? 0xFFFFFFFFu : ((1u << n_inputs) - 1u);
@@ -101,48 +109,33 @@ PlainValueFn random_plain_fn(std::uint32_t secret, int n_inputs) {
   };
 }
 
-// One capture differential: batch the same campaign through the 64-lane
-// engine and the scalar oracle; the double buffers must be bit-identical
-// (operator== on the vectors -- no tolerance).
-void expect_batch_identical(const Case& c, std::uint64_t n_traces,
-                            std::uint64_t seed) {
-  const std::uint32_t secret = static_cast<std::uint32_t>(seed * 0x9E37u);
-  const auto plain = random_plain_fn(secret, c.n_inputs);
-  const Xoshiro256 base(seed);
-  const TraceBatch wide = capture_batch(c.target, n_traces, plain, base, 64);
-  const TraceBatch narrow = capture_batch(c.target, n_traces, plain, base, 1);
-  ASSERT_EQ(wide.n, narrow.n);
-  ASSERT_EQ(wide.samples, narrow.samples);
-  EXPECT_EQ(wide.data, narrow.data)
-      << "inputs=" << c.n_inputs << " order=" << c.order
-      << " sigma=" << c.sigma << " n=" << n_traces << " seed=" << seed;
+std::string describe(const Case& c, std::uint64_t n, std::uint64_t seed) {
+  return "inputs=" + std::to_string(c.n_inputs) +
+         " order=" + std::to_string(c.order) +
+         " sigma=" + std::to_string(c.sigma) + " n=" + std::to_string(n) +
+         " seed=" + std::to_string(seed);
 }
 
-// One TVLA differential: identical config except the engine; reports must
-// match exactly (t vectors and every curve checkpoint). Exercises the
+// One capture differential: capture_batch against the per-trace capture()
+// loop over the same split streams.
+void expect_batch_matches_oracle(const Case& c, std::uint64_t n_traces,
+                            std::uint64_t seed) {
+  const std::uint32_t secret = static_cast<std::uint32_t>(seed * 0x9E37u);
+  oracle::expect_batch_matches(c.target, n_traces,
+                               random_plain_fn(secret, c.n_inputs),
+                               Xoshiro256(seed), describe(c, n_traces, seed));
+}
+
+// One TVLA differential against the per-trace Welford fold. Exercises the
 // exact integer fold (sigma=0, few counter planes) and the double fold
 // (sigma>0) depending on the drawn case.
-void expect_tvla_identical(const Case& c, int n_traces, std::uint64_t seed) {
+void expect_tvla_matches_oracle(const Case& c, int n_traces, std::uint64_t seed) {
   const std::uint32_t fixed = static_cast<std::uint32_t>(seed & 0x3F);
-  TvlaConfig wide_cfg;
-  wide_cfg.seed = seed;
-  wide_cfg.lanes = 64;
-  TvlaConfig narrow_cfg = wide_cfg;
-  narrow_cfg.lanes = 1;
-  const TvlaReport w = tvla_fixed_vs_random(c.target, fixed, n_traces,
-                                            wide_cfg);
-  const TvlaReport n = tvla_fixed_vs_random(c.target, fixed, n_traces,
-                                            narrow_cfg);
-  EXPECT_EQ(w.t1, n.t1) << "order=" << c.order << " sigma=" << c.sigma
-                        << " seed=" << seed;
-  EXPECT_EQ(w.t2, n.t2);
-  ASSERT_EQ(w.curve.size(), n.curve.size());
-  for (std::size_t i = 0; i < w.curve.size(); ++i) {
-    EXPECT_EQ(w.curve[i].max_abs_t1, n.curve[i].max_abs_t1);
-    EXPECT_EQ(w.curve[i].max_abs_t2, n.curve[i].max_abs_t2);
-  }
-  EXPECT_EQ(w.first_order_leak, n.first_order_leak);
-  EXPECT_EQ(w.second_order_leak, n.second_order_leak);
+  TvlaConfig cfg;
+  cfg.seed = seed;
+  oracle::expect_tvla_matches(
+      c.target, fixed, n_traces, cfg,
+      describe(c, static_cast<std::uint64_t>(n_traces), seed));
 }
 
 MaskedTraceTarget sbox_target(unsigned order, double sigma) {
@@ -163,7 +156,7 @@ TEST(BitsliceDifferential, CaptureBatchMatchesScalarOracle) {
   for (int i = 0; i < 160; ++i) {
     const Case c = random_case(sweep);
     for (int k = 0; k < 4; ++k) {
-      expect_batch_identical(c, counts[static_cast<std::size_t>(k)],
+      expect_batch_matches_oracle(c, counts[static_cast<std::size_t>(k)],
                              sweep.next_u64());
       if (HasFatalFailure()) return;
     }
@@ -178,61 +171,129 @@ TEST(BitsliceDifferential, TvlaStatisticsMatchScalarEngine) {
   for (int i = 0; i < 80; ++i) {
     const Case c = random_case(sweep);
     for (int k = 0; k < 4; ++k) {
-      expect_tvla_identical(c, 420, sweep.next_u64());
+      expect_tvla_matches_oracle(c, 420, sweep.next_u64());
       if (HasFatalFailure()) return;
     }
   }
 }
 
 TEST(BitsliceDifferential, ThreadCountNeverChangesEitherEngine) {
-  // 48 cases: 6 random circuits x both engines x threads {1,2,4,7} must
-  // all produce one bit-identical TVLA report.
+  // 48 cases: 6 random circuits x threads {1,2,4,7} x both consumers of
+  // the 64-lane engine -- a TVLA report and a capture_batch -- must each
+  // be bit-identical to the single-thread run. The drawn circuits cover
+  // both TVLA folds (exact integer and double).
   Xoshiro256 sweep(0x5EED5CA);
+  int noiseless = 0;
   for (int i = 0; i < 6; ++i) {
     const Case c = random_case(sweep);
+    noiseless += c.sigma == 0.0 ? 1 : 0;
     const std::uint64_t seed = sweep.next_u64();
-    for (int lanes : {64, 1}) {
-      TvlaConfig cfg;
-      cfg.seed = seed;
-      cfg.lanes = lanes;
-      TvlaReport reference;
-      {
-        par::ScopedThreadCount one(1);
-        reference = tvla_fixed_vs_random(c.target, 0x2A, 500, cfg);
-      }
-      for (int threads : {2, 4, 7}) {
-        par::ScopedThreadCount scope(threads);
-        const TvlaReport report =
-            tvla_fixed_vs_random(c.target, 0x2A, 500, cfg);
-        EXPECT_EQ(report.t1, reference.t1)
-            << "lanes=" << lanes << " threads=" << threads;
-        EXPECT_EQ(report.t2, reference.t2)
-            << "lanes=" << lanes << " threads=" << threads;
+    TvlaConfig cfg;
+    cfg.seed = seed;
+    const auto plain = random_plain_fn(static_cast<std::uint32_t>(seed),
+                                       c.n_inputs);
+    const Xoshiro256 base(seed);
+    TvlaReport reference;
+    TraceBatch ref_batch;
+    {
+      par::ScopedThreadCount one(1);
+      reference = tvla_fixed_vs_random(c.target, 0x2A, 500, cfg);
+      ref_batch = capture_batch(c.target, 500, plain, base);
+    }
+    for (int threads : {2, 4, 7}) {
+      par::ScopedThreadCount scope(threads);
+      const TvlaReport report =
+          tvla_fixed_vs_random(c.target, 0x2A, 500, cfg);
+      EXPECT_EQ(report.t1, reference.t1) << "threads=" << threads;
+      EXPECT_EQ(report.t2, reference.t2) << "threads=" << threads;
+      EXPECT_EQ(capture_batch(c.target, 500, plain, base).data,
+                ref_batch.data)
+          << "threads=" << threads;
+    }
+  }
+  EXPECT_GT(noiseless, 0);
+  EXPECT_LT(noiseless, 6);
+}
+
+// Per-trace Pearson oracle for the S-box CPA: trace i draws its plaintext
+// as the low byte of split(i)'s first next_u64(), captures S(p ^ key)
+// through capture(), and folds one-pass sums per (guess, sample).
+// Returns max |rho| over samples for every guess.
+std::vector<double> oracle_cpa(const MaskedTraceTarget& target,
+                               std::uint8_t key, int n_traces,
+                               std::uint64_t seed) {
+  const std::size_t samples = static_cast<std::size_t>(target.samples());
+  std::array<double, 256> hw{};
+  for (int v = 0; v < 256; ++v) {
+    hw[static_cast<std::size_t>(v)] = hamming_weight(
+        masking::aes_sbox(static_cast<std::uint8_t>(v)));
+  }
+  double n = 0.0;
+  std::vector<double> sx(samples), sxx(samples), sh(256), shh(256),
+      shx(256 * samples);
+  const Xoshiro256 base(seed);
+  TraceScratch scratch = target.make_scratch();
+  std::vector<double> x(samples);
+  for (int i = 0; i < n_traces; ++i) {
+    Xoshiro256 rng = base.split(static_cast<std::uint64_t>(i));
+    const auto p = static_cast<std::uint8_t>(rng.next_u64() & 0xFF);
+    target.capture(static_cast<std::uint32_t>(p ^ key), rng, scratch, x);
+    n += 1.0;
+    for (std::size_t s = 0; s < samples; ++s) {
+      sx[s] += x[s];
+      sxx[s] += x[s] * x[s];
+    }
+    for (std::size_t g = 0; g < 256; ++g) {
+      const double h = hw[p ^ g];
+      sh[g] += h;
+      shh[g] += h * h;
+      for (std::size_t s = 0; s < samples; ++s) {
+        shx[g * samples + s] += h * x[s];
       }
     }
   }
+  std::vector<double> corr(256, 0.0);
+  for (std::size_t g = 0; g < 256; ++g) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      const double dh = n * shh[g] - sh[g] * sh[g];
+      const double dx = n * sxx[s] - sx[s] * sx[s];
+      if (dh <= 0.0 || dx <= 0.0) continue;
+      const double rho = (n * shx[g * samples + s] - sh[g] * sx[s]) /
+                         std::sqrt(dh * dx);
+      corr[g] = std::max(corr[g], std::abs(rho));
+    }
+  }
+  return corr;
 }
 
 TEST(BitsliceDifferential, CpaMatchesScalarEngineOnSbox) {
   // 8 cases: the S-box CPA campaign across masking orders, noise levels
-  // and keys; correlations and key ranking must agree exactly.
+  // and keys. Correlations must match the per-trace Pearson oracle; on the
+  // unmasked target the ranking and recovered key must be equal too.
   const std::uint8_t keys[2] = {0x3C, 0xA7};
   int cases = 0;
   for (unsigned order : {0u, 1u}) {
     for (double sigma : {0.0, 0.8}) {
       const auto target = sbox_target(order, sigma);
       for (std::uint8_t key : keys) {
-        CpaConfig wide_cfg;
-        wide_cfg.seed = 0xC0FFEE ^ (order * 7919u) ^ key;
-        wide_cfg.lanes = 64;
-        CpaConfig narrow_cfg = wide_cfg;
-        narrow_cfg.lanes = 1;
-        const CpaReport w = cpa_sbox_attack(target, key, 768, wide_cfg);
-        const CpaReport n = cpa_sbox_attack(target, key, 768, narrow_cfg);
-        EXPECT_EQ(w.correlation, n.correlation)
-            << "order=" << order << " sigma=" << sigma;
-        EXPECT_EQ(w.rank, n.rank);
-        EXPECT_EQ(w.recovered_key, n.recovered_key);
+        CpaConfig cfg;
+        cfg.seed = 0xC0FFEE ^ (order * 7919u) ^ key;
+        const CpaReport r = cpa_sbox_attack(target, key, 768, cfg);
+        const std::vector<double> ref = oracle_cpa(target, key, 768, cfg.seed);
+        ASSERT_EQ(r.correlation.size(), ref.size());
+        for (std::size_t g = 0; g < ref.size(); ++g) {
+          EXPECT_TRUE(oracle::close(r.correlation[g], ref[g]))
+              << "order=" << order << " sigma=" << sigma << " guess=" << g
+              << " rho " << r.correlation[g] << " vs " << ref[g];
+        }
+        if (order == 0) {
+          int rank = 0;
+          for (std::size_t g = 0; g < ref.size(); ++g) {
+            if (g != key && ref[g] > ref[key]) ++rank;
+          }
+          EXPECT_EQ(r.rank, rank) << "sigma=" << sigma;
+          EXPECT_EQ(r.recovered_key, argmax(ref)) << "sigma=" << sigma;
+        }
         ++cases;
       }
     }
@@ -247,8 +308,8 @@ TEST(BitsliceSmoke, CaptureBatchMatchesScalarOracle) {
   Xoshiro256 sweep(0xFA57);
   for (int i = 0; i < 12; ++i) {
     const Case c = random_case(sweep);
-    expect_batch_identical(c, 64, sweep.next_u64());
-    expect_batch_identical(c, 70, sweep.next_u64());
+    expect_batch_matches_oracle(c, 64, sweep.next_u64());
+    expect_batch_matches_oracle(c, 70, sweep.next_u64());
     if (HasFatalFailure()) return;
   }
 }
@@ -258,21 +319,18 @@ TEST(BitsliceSmoke, TvlaStatisticsMatchScalarEngine) {
   Xoshiro256 sweep(0xFA57 ^ 0xB17);
   for (int i = 0; i < 8; ++i) {
     const Case c = random_case(sweep);
-    expect_tvla_identical(c, 200, sweep.next_u64());
+    expect_tvla_matches_oracle(c, 200, sweep.next_u64());
     if (HasFatalFailure()) return;
   }
 }
 
 TEST(BitsliceSmoke, UnmaskedSboxSpeedupPathStillLeaks) {
   // The bench's 1M-trace campaign in miniature: the noiseless unmasked
-  // S-box must fail first-order TVLA on both engines with the same curve.
+  // S-box must fail first-order TVLA, with the curve the oracle computes.
   const auto target = sbox_target(0, 0.0);
-  for (int lanes : {64, 1}) {
-    TvlaConfig cfg;
-    cfg.lanes = lanes;
-    const TvlaReport r = tvla_fixed_vs_random(target, 0x52, 4096, cfg);
-    EXPECT_TRUE(r.first_order_leak) << "lanes=" << lanes;
-  }
+  const TvlaReport r = tvla_fixed_vs_random(target, 0x52, 4096, {});
+  EXPECT_TRUE(r.first_order_leak);
+  oracle::expect_tvla_matches(target, 0x52, 4096, {}, "unmasked sbox");
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
-// Directed edge cases of the bitsliced lane model: campaign sizes that
-// straddle the 64-lane block width, degenerate netlists (inputs only, one
-// gate), tail-lane masking in the packed accumulators, and counter-plane
-// counts that force every fallback path (register CSA <= 4 planes, ripple
-// 5..8, exact fold disabled > 8).
+// Directed edge cases of the 64-lane engine against the per-trace oracle
+// (tests/sca/oracle.hpp): campaign sizes that straddle the 64-lane block
+// width, degenerate netlists (inputs only, one gate), tail-lane masking in
+// the packed accumulators, and counter-plane counts that force every
+// fallback path (register CSA <= 4 planes, ripple 5..8, exact fold
+// disabled > 8).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "convolve/common/rng.hpp"
 #include "convolve/masking/circuit.hpp"
 #include "convolve/sca/target.hpp"
 #include "convolve/sca/tvla.hpp"
+#include "oracle.hpp"
 
 namespace convolve::sca {
 namespace {
@@ -56,10 +59,8 @@ PlainValueFn mix_fn(std::uint32_t mask) {
 
 void expect_lanes_agree(const MaskedTraceTarget& target, std::uint64_t n,
                         std::uint32_t mask) {
-  const Xoshiro256 base(0xED6E ^ n);
-  const TraceBatch wide = capture_batch(target, n, mix_fn(mask), base, 64);
-  const TraceBatch narrow = capture_batch(target, n, mix_fn(mask), base, 1);
-  EXPECT_EQ(wide.data, narrow.data) << "n=" << n;
+  oracle::expect_batch_matches(target, n, mix_fn(mask), Xoshiro256(0xED6E ^ n),
+                               "n=" + std::to_string(n));
 }
 
 TEST(BitsliceSmoke, TraceCountsAroundTheBlockWidth) {
@@ -98,30 +99,17 @@ TEST(BitsliceLanes, RippleCounterFallbackAgrees) {
   const auto target = wrap(wide_group_circuit(40), 0, 0.0, 2);
   EXPECT_EQ(target.simulator().counter_planes(), 6);
   expect_lanes_agree(target, 200, 0x3);
-  TvlaConfig w, n;
-  w.lanes = 64;
-  n.lanes = 1;
-  const TvlaReport rw = tvla_fixed_vs_random(target, 1, 500, w);
-  const TvlaReport rn = tvla_fixed_vs_random(target, 1, 500, n);
-  EXPECT_EQ(rw.t1, rn.t1);
-  EXPECT_EQ(rw.t2, rn.t2);
+  oracle::expect_tvla_matches(target, 1, 500, {}, "6 planes");
 }
 
 TEST(BitsliceLanes, WideGroupBeyondExactFoldStillAgrees) {
   // 300 gates in one group -> 9 counter planes: the exact integer fold is
   // off (counts would overflow its packed fields), TVLA takes the double
-  // path, and the engines must still match bit-for-bit.
+  // path, and it must still match the oracle.
   const auto target = wrap(wide_group_circuit(300), 0, 0.0, 2);
   EXPECT_GT(target.simulator().counter_planes(), 8);
-  EXPECT_TRUE(target.supports_block_capture());
   expect_lanes_agree(target, 100, 0x3);
-  TvlaConfig w, n;
-  w.lanes = 64;
-  n.lanes = 1;
-  const TvlaReport rw = tvla_fixed_vs_random(target, 1, 420, w);
-  const TvlaReport rn = tvla_fixed_vs_random(target, 1, 420, n);
-  EXPECT_EQ(rw.t1, rn.t1);
-  EXPECT_EQ(rw.t2, rn.t2);
+  oracle::expect_tvla_matches(target, 1, 420, {}, "9 planes");
 }
 
 TEST(BitsliceLanes, SampleMajorLayoutIsATranspose) {
@@ -155,35 +143,6 @@ TEST(BitsliceLanes, SampleMajorLayoutIsATranspose) {
     for (std::size_t s = 0; s < samples; ++s) {
       EXPECT_EQ(tmajor[j * samples + s], smajor[s * n_act + j]);
     }
-  }
-}
-
-TEST(BitsliceLanes, BlockCountsMatchDoubleCapture) {
-  const auto target = wrap(masking::toy_sbox_circuit(), 1, 0.0, 4);
-  const std::size_t n_act = 51;
-  const std::size_t samples = static_cast<std::size_t>(target.samples());
-  const Xoshiro256 base(0x22BB);
-  std::array<Xoshiro256, 64> rngs;
-  std::array<std::uint32_t, 64> values;
-  for (std::size_t j = 0; j < n_act; ++j) {
-    rngs[j] = base.split(j);
-    values[j] = static_cast<std::uint32_t>(rngs[j].next_u64() & 0xF);
-  }
-  BlockScratch scratch = target.make_block_scratch();
-  std::vector<double> doubles(n_act * samples);
-  std::vector<std::uint8_t> bytes(n_act * samples);
-  {
-    auto r = rngs;
-    target.capture_block({values.data(), n_act}, {r.data(), n_act}, scratch,
-                         doubles, BlockLayout::kSampleMajor);
-  }
-  {
-    auto r = rngs;
-    target.capture_block_counts({values.data(), n_act}, {r.data(), n_act},
-                                scratch, bytes);
-  }
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    EXPECT_EQ(static_cast<double>(bytes[i]), doubles[i]) << "i=" << i;
   }
 }
 
@@ -268,14 +227,9 @@ TEST(BitsliceLanes, TvlaTailChunksAgreeAtOddGrain) {
   // grain=96 (not a multiple of 64) forces partial blocks inside interior
   // chunks, not just at the campaign tail.
   const auto target = wrap(masking::toy_sbox_circuit(), 0, 0.0, 4);
-  TvlaConfig w, n;
-  w.grain = n.grain = 96;
-  w.lanes = 64;
-  n.lanes = 1;
-  const TvlaReport rw = tvla_fixed_vs_random(target, 5, 1000, w);
-  const TvlaReport rn = tvla_fixed_vs_random(target, 5, 1000, n);
-  EXPECT_EQ(rw.t1, rn.t1);
-  EXPECT_EQ(rw.t2, rn.t2);
+  TvlaConfig cfg;
+  cfg.grain = 96;
+  oracle::expect_tvla_matches(target, 5, 1000, cfg, "grain 96");
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(PowerTrace, SeededCaptureIsReproducible) {
 
 TEST(PowerTrace, TransitionModelCountsToggles) {
   const Circuit fa = masking::full_adder_circuit();
-  PowerTraceSimulator sim(fa, {PowerModel::kHammingDistance, 0.0});
+  PowerTraceSimulator sim(fa, {});  // capture_transition ignores the model
   TraceScratch scratch = sim.make_scratch();
   Xoshiro256 rng(7);
   const std::vector<std::uint8_t> zeros = {0, 0, 0};

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "convolve/common/telemetry.hpp"
 #include "convolve/crypto/keccak.hpp"
 
 namespace convolve::tee {
@@ -243,6 +246,72 @@ TEST(SecurityMonitor, LocalAttestationDeviceBound) {
   const auto token = w1.sm->local_attest(a);
   EXPECT_FALSE(other_sm.verify_local_attestation(token));
 }
+
+TEST(SecurityMonitor, LocalAttestationRejectsAnotherMeasurement) {
+  World w(false);
+  const int a = w.sm->create_enclave(Bytes(64, 0x01), 8192);
+  const int b = w.sm->create_enclave(Bytes(64, 0x02), 8192);
+  auto token = w.sm->local_attest(a);
+  token.target_measurement = w.sm->enclave(b).measurement;
+  EXPECT_FALSE(w.sm->verify_local_attestation(token));
+  // Nor does a's MAC vouch for b, whose measurement it never covered.
+  auto swapped = w.sm->local_attest(b);
+  swapped.mac = w.sm->local_attest(a).mac;
+  EXPECT_FALSE(w.sm->verify_local_attestation(swapped));
+}
+
+TEST(SecurityMonitor, LocalAttestationRejectsWrongSizeFields) {
+  World w(false);
+  const int a = w.sm->create_enclave(Bytes(64, 0x01), 8192);
+  const auto good = w.sm->local_attest(a);
+  for (std::size_t n : {0u, 63u, 65u}) {
+    auto token = good;
+    token.target_measurement.resize(n, 0);
+    EXPECT_FALSE(w.sm->verify_local_attestation(token)) << "measurement " << n;
+  }
+  for (std::size_t n : {0u, 31u, 33u, 64u}) {
+    auto token = good;
+    token.mac.resize(n, 0);
+    EXPECT_FALSE(w.sm->verify_local_attestation(token)) << "mac " << n;
+  }
+  EXPECT_TRUE(w.sm->verify_local_attestation(good));
+}
+
+#if CONVOLVE_TELEMETRY_ENABLED
+TEST(SecurityMonitor, LocalAttestationRejectionsRecordOneEventEach) {
+  namespace tel = convolve::telemetry;
+  World w(false);
+  const int a = w.sm->create_enclave(Bytes(64, 0x01), 8192);
+  const auto good = w.sm->local_attest(a);
+  const auto mismatch_codes = [] {
+    std::vector<int> codes;
+    for (const tel::Event& e : tel::collect_events()) {
+      if (e.kind ==
+          static_cast<std::uint8_t>(tel::EventKind::kMeasurementMismatch)) {
+        codes.push_back(e.code);
+      }
+    }
+    return codes;
+  };
+
+  tel::reset_events();
+  EXPECT_TRUE(w.sm->verify_local_attestation(good));
+  EXPECT_TRUE(mismatch_codes().empty());
+
+  auto malformed = good;
+  malformed.mac.resize(31);
+  tel::reset_events();
+  EXPECT_FALSE(w.sm->verify_local_attestation(malformed));
+  EXPECT_EQ(mismatch_codes(), std::vector<int>{0});  // 0 = malformed
+
+  auto forged = good;
+  forged.mac[7] ^= 0x80;
+  tel::reset_events();
+  EXPECT_FALSE(w.sm->verify_local_attestation(forged));
+  EXPECT_EQ(mismatch_codes(), std::vector<int>{1});  // 1 = MAC mismatch
+  tel::reset_events();
+}
+#endif
 
 TEST(SecurityMonitor, AttestRejectsOversizedUserData) {
   World w(false);
