@@ -1,6 +1,6 @@
 // RV32 execution-engine microbenchmark: legacy interpreter (fetch/decode
-// every step, exception-based memory path) vs the threaded bytecode+fusion
-// engine.
+// every step, exception-based memory path) vs the threaded bytecode engine
+// (one BcOp per instruction slot).
 //
 // Three workloads, each run for the same instruction budget on both engines:
 //   alu    - Keccak-style rotate/xor/add mix, no memory traffic
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
     threads = 4;
   }
   convolve::bench::ReportOptions opts;
-  double min_speedup = 6.0;  // bytecode+fusion over interpreter
+  double min_speedup = 6.0;  // bytecode over interpreter
   std::uint64_t steps = 4'000'000;
   std::string only;  // substring filter over scenario names; empty = all
   for (int i = 1; i < argc; ++i) {

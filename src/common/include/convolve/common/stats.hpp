@@ -93,6 +93,8 @@ double welch_t(const Welford& a, const Welford& b);
 /// Second-order (TVLA) Welch t: the t-statistic of the centered squares
 /// y = (x - mean)^2, computed from central moments -- mean(y) = CM2 and
 /// var(y) = CM4 - CM2^2 (Schneider-Moradi leakage assessment methodology).
+/// A var(y) within 1e-9 * CM4 of zero counts as zero; returns 0 if either
+/// side has < 2 points or both var(y) vanish.
 double welch_t_centered_square(const Welford& a, const Welford& b);
 
 // Log2-histogram percentiles ---------------------------------------------

@@ -242,15 +242,20 @@ double welch_t(const Welford& a, const Welford& b) {
 
 double welch_t_centered_square(const Welford& a, const Welford& b) {
   if (a.count() < 2 || b.count() < 2) return 0.0;
-  // For y = (x - mean)^2: mean(y) = CM2 and var(y) = CM4 - CM2^2.
-  const double cm2a = a.central_moment2();
-  const double cm2b = b.central_moment2();
-  const double var_ya = a.central_moment4() - cm2a * cm2a;
-  const double var_yb = b.central_moment4() - cm2b * cm2b;
-  const double denom = std::sqrt(var_ya / static_cast<double>(a.count()) +
-                                 var_yb / static_cast<double>(b.count()));
+  // For y = (x - mean)^2: mean(y) = CM2 and var(y) = CM4 - CM2^2. A class
+  // with two equally likely levels has the same y for every sample, so
+  // var(y) is 0, but the running moments reach it only up to rounding: a
+  // var(y) within 1e-9 * CM4 of zero counts as zero, so the statistic is
+  // the degenerate 0 rather than the difference over rounding residue.
+  const auto var_y = [](const Welford& w) {
+    const double cm2 = w.central_moment2();
+    const double v = w.central_moment4() - cm2 * cm2;
+    return std::abs(v) <= 1e-9 * w.central_moment4() ? 0.0 : v;
+  };
+  const double denom = std::sqrt(var_y(a) / static_cast<double>(a.count()) +
+                                 var_y(b) / static_cast<double>(b.count()));
   if (denom <= 0.0 || !std::isfinite(denom)) return 0.0;
-  return (cm2a - cm2b) / denom;
+  return (a.central_moment2() - b.central_moment2()) / denom;
 }
 
 }  // namespace convolve

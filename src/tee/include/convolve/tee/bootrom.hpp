@@ -25,7 +25,7 @@ struct BootromConfig {
   bool pq_enabled = false;  // hybrid Ed25519 + ML-DSA-44 when true
 };
 
-/// Per-device root-of-trust secrets (fused at manufacturing).
+/// Per-device root-of-trust secrets (programmed once at manufacturing).
 struct DeviceKeys {
   std::array<std::uint8_t, 32> ed25519_seed{};
   std::array<std::uint8_t, 32> mldsa_seed{};  // stored as seed (paper)

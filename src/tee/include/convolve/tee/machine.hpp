@@ -90,8 +90,8 @@ struct MemRange {
 };
 
 /// One 4 KB code page as linked bytecode (see Machine::decoded_page): the
-/// words it was decoded from and one BcOp per word slot, each already
-/// linked to its handler address. `version` is the page's store version
+/// words it was decoded from and one 16-byte BcOp per word slot, decoded
+/// from that word alone and already linked to its handler address. `version` is the page's store version
 /// when the words were read. Slots past a partial last page are
 /// kIllegal; the fetch bounds-faults before reaching them.
 struct DecodedPage {
@@ -156,7 +156,7 @@ class Machine {
   /// Publish the PMP-memo miss, decode and CoW tallies to the global
   /// telemetry counters (rv32.pmp_memo.misses, rv32.decode.shared_hits,
   /// rv32.decode_cache.misses, rv32.decode.words_redecoded,
-  /// rv32.fusion.emitted, tee.cow.pages_materialized) and zero them.
+  /// tee.cow.pages_materialized) and zero them.
   /// Called from the destructor; call explicitly before snapshotting when
   /// the Machine is still alive. No-op in CONVOLVE_TELEMETRY=OFF builds.
   void flush_telemetry() const;
@@ -311,8 +311,8 @@ class Machine {
   /// the page's current version; the image's shared decode at that
   /// version; otherwise it refreshes a private copy of the best decode of
   /// the page it has (private, else shared), re-decoding only the slots
-  /// whose word changed plus the slot before each (fusion reads one word
-  /// ahead). Only a page with no decode at all is decoded whole. Private
+  /// whose word changed. Only a page with no decode at all is decoded
+  /// whole. Private
   /// decodes live in a fully associative overlay of kOverlayPages pages,
   /// allocated on the first miss. Bytes only: the caller checks execute
   /// permission against the live PMP. The reference stays valid until the
@@ -369,7 +369,6 @@ class Machine {
   mutable std::uint64_t dc_shared_hits_ = 0;  // lookups served by the image
   mutable std::uint64_t dc_misses_ = 0;       // private page decodes
   mutable std::uint64_t dc_words_ = 0;        // slots re-decoded
-  mutable std::uint64_t fused_emitted_ = 0;   // fused ops emitted by decode
 #endif
 
   /// Bytes page p actually covers (the last page may be partial).

@@ -15,10 +15,9 @@
 // Two execution engines share the architectural state: step() (and
 // run_interpreted()) is the straightforward fetch-decode-execute reference
 // interpreter, and run() is the bytecode engine, which runs each code page
-// as a compact bytecode stream (handler byte + packed operands + linked
-// handler address, macro-op fusion of lui+addi / auipc+addi / auipc+lw /
-// cmp+branch pairs) through a computed-goto dispatch loop. The bytecode is
-// not the hart's: Machine::decoded_page owns it (shared from the frozen
+// as a compact bytecode stream (one 16-byte BcOp per instruction slot:
+// handler byte + packed operands + linked handler address) through a
+// computed-goto dispatch loop. The bytecode is not the hart's: Machine::decoded_page owns it (shared from the frozen
 // image on a fork, privately refreshed word by word where the machine's
 // bytes moved on), so an Rv32Cpu is just a register file, pc, privilege
 // mode and tallies, and constructing one allocates nothing. The bytecode
@@ -57,10 +56,10 @@ class Rv32Cpu {
   ~Rv32Cpu();
 
   /// Publish this hart's telemetry tallies (rv32.instructions_retired,
-  /// rv32.bytecode.instructions, rv32.fusion.pairs) to the global counters
-  /// and zero them; decode tallies belong to the Machine. Called from the
-  /// destructor; call explicitly before snapshotting while the hart is
-  /// alive. No-op when CONVOLVE_TELEMETRY is OFF.
+  /// rv32.bytecode.instructions) to the global counters and zero them;
+  /// decode tallies belong to the Machine. Called from the destructor;
+  /// call explicitly before snapshotting while the hart is alive. No-op
+  /// when CONVOLVE_TELEMETRY is OFF.
   void flush_telemetry();
 
   /// Execute one instruction via the reference interpreter. Returns a
@@ -114,7 +113,6 @@ class Rv32Cpu {
   // loop must not touch an atomic per instruction (the telemetry-ON build
   // is gated to within 2% of OFF on the ALU workload).
   std::uint64_t bc_steps_ = 0;          // instructions retired via bytecode
-  std::uint64_t fused_exec_ = 0;        // fused pairs executed fused
   std::uint64_t flushed_retired_ = 0;   // retired_ already published
 #endif
 };

@@ -259,19 +259,10 @@ constexpr std::uint32_t access_bytes(OpKind k) {
 // ---------------------------------------------------------------------
 //
 // The bytecode engine (Rv32Cpu::run) decodes each code page into one BcOp
-// per 4-byte slot: a handler byte indexing the dispatch table plus
-// pre-extracted operands, so the hot loop touches exactly one BcOp record
-// per dispatch. A decode-time fusion pass
-// additionally recognizes adjacent pairs (lui+addi, auipc+addi, auipc+lw,
-// cmp/addi+branch-on-zero) and emits a fused handler in the FIRST slot of
-// the pair; the second slot always keeps its own unfused bytecode, so a
-// jump into the middle of a pair executes the plain second instruction.
-//
-// Fused super-ops are architectural sugar only: they retire as two steps,
-// fault with the component instruction's pc/tval, and are split (executed
-// unfused via the oracle) whenever the remaining step budget or the
-// validated execute window cannot cover both halves. run_interpreted()
-// stays a bit-for-bit oracle for every fused path.
+// per 4-byte slot, each from its own word alone: a handler byte indexing
+// the dispatch table plus pre-extracted operands and the linked handler
+// address, so the hot loop touches exactly one 16-byte BcOp record per
+// dispatch. run_interpreted() stays the bit-for-bit oracle.
 enum class BcHandler : std::uint8_t {
   // 0..48 mirror OpKind exactly (see static_asserts below), so the single-
   // instruction rewrite is a cast.
@@ -284,25 +275,12 @@ enum class BcHandler : std::uint8_t {
   kAdd, kSub, kSll, kSlt, kSltu, kXor, kSrl, kSra, kOr, kAnd,
   kMul, kMulh, kMulhsu, kMulhu, kDiv, kDivu, kRem, kRemu,
   kFence, kEcall, kEbreak,
-  // Decode-time specializations.
-  kNop,  // pure rd-writing op with rd == x0: architecturally a no-op
-  // Fused pairs (handler lives in the first slot of the pair).
-  kFusedLuiAddi,    // lui rd,hi ; addi rd2,rd,lo   -> both constants folded
-  kFusedAuipcAddi,  // auipc rd,hi ; addi rd2,rd,lo -> pc-relative address gen
-  kFusedAuipcLw,    // auipc rd,hi ; lw rd2,lo(rd)  -> pc-relative load
-  kFusedSltBeqz, kFusedSltBnez,      // slt rd,a,b   ; beqz/bnez rd
-  kFusedSltuBeqz, kFusedSltuBnez,    // sltu rd,a,b  ; beqz/bnez rd
-  kFusedSltiBeqz, kFusedSltiBnez,    // slti rd,a,K  ; beqz/bnez rd
-  kFusedSltiuBeqz, kFusedSltiuBnez,  // sltiu rd,a,K ; beqz/bnez rd
-  kFusedAddiBeqz, kFusedAddiBnez,    // addi rd,a,K  ; beqz/bnez rd (dec+loop)
-  kFusedSlliSrli,  // slli rd,s,A ; srli rd2,s,B -> rotate halves (RV32I rol)
-  kFusedSrliSlli,  // srli rd,s,A ; slli rd2,s,B -> rotate halves (RV32I ror)
-  kFusedAddiAddi,  // addi rd,s,K ; addi rd2,rd2,K2 -> paired pointer bumps
-  kFusedOrXor,     // or rd,a,b ; xor rd2,rd,c  -> ARX rotate-then-mix
-  kFusedOrXori,    // or rd,a,b ; xori rd2,rd,K -> ARX rotate-then-mix (imm)
+  // Decode-time specialization: a pure rd-writing op with rd == x0 is
+  // architecturally a no-op.
+  kNop,
 };
 constexpr std::size_t kBcHandlerCount =
-    static_cast<std::size_t>(BcHandler::kFusedOrXori) + 1;
+    static_cast<std::size_t>(BcHandler::kNop) + 1;
 
 static_assert(static_cast<int>(BcHandler::kLui) == static_cast<int>(OpKind::kLui));
 static_assert(static_cast<int>(BcHandler::kSw) == static_cast<int>(OpKind::kSw));
@@ -310,34 +288,19 @@ static_assert(static_cast<int>(BcHandler::kSrai) == static_cast<int>(OpKind::kSr
 static_assert(static_cast<int>(BcHandler::kRemu) == static_cast<int>(OpKind::kRemu));
 static_assert(static_cast<int>(BcHandler::kEbreak) == static_cast<int>(OpKind::kEbreak));
 
-/// One bytecode slot: handler byte + packed operands. For fused pairs,
-/// `rd`/`rs1`/`rs2`/`imm` describe the first component (rs2 doubles as the
-/// second component's rd for the lui/auipc pairs) and `imm2` carries the
-/// pair's folded second immediate:
-///   kFusedLuiAddi:   imm = hi, imm2 = hi + lo (both final constants)
-///   kFusedAuipcAddi: imm = hi, imm2 = hi + lo (add pc at run time)
-///   kFusedAuipcLw:   imm = hi, imm2 = hi + lo (load address = pc + imm2)
-///   kFused*B{eq,ne}z: imm = cmp immediate, imm2 = branch offset + 4
-///                     (pre-biased so target = pair pc + imm2)
-///   kFusedSlliSrli/kFusedSrliSlli: imm = first shamt, imm2 = second shamt
-///                     (both shifts read the shared source rs1)
-///   kFusedAddiAddi:   imm = first immediate, imm2 = second immediate
-///                     (second component is rs2 += imm2)
-///   kFusedOrXor:      imm = xor's other source register, imm2 = xor's rd
-///   kFusedOrXori:     imm = xor immediate, imm2 = xori's rd
-///                     (the or result is forwarded to the xor directly)
+/// One bytecode slot: handler byte + the operands of its own instruction.
 struct BcOp {
   std::uint8_t handler = static_cast<std::uint8_t>(BcHandler::kIllegal);
   std::uint8_t rd = 0;
   std::uint8_t rs1 = 0;
   std::uint8_t rs2 = 0;
   std::int32_t imm = 0;   // kIllegal: raw instruction word (trap tval)
-  std::int32_t imm2 = 0;
   // Dispatch goes through this direct handler address (one dependent
   // load instead of byte -> table -> jump). Page decode links it from
   // bytecode_handlers() before the page is ever executed or shared.
   const void* target = nullptr;
 };
+static_assert(sizeof(BcOp) == 16, "one BcOp per slot: 4 KB page = 16 KB");
 
 /// Handler addresses of the threaded bytecode engine, indexed by
 /// BcHandler: what page decode links BcOp::target to. The table is a
@@ -361,136 +324,6 @@ inline BcOp bytecode_single(const DecodedInsn& d) {
   op.rs2 = d.rs2;
   op.imm = d.imm;
   return op;
-}
-
-/// Macro-op fusion table: try to fuse adjacent pair (a at pc, b at pc+4).
-/// Returns true and fills `out` when the pair fuses. Conditions are
-/// deliberately conservative:
-///  - a.rd != 0 (every pair has b reading a's result; x0 would read 0,
-///    not the produced value);
-///  - b must consume a.rd exactly as the pattern expects;
-///  - for cmp+branch, b must compare a.rd against x0 (either operand
-///    order) so the fused zero-test is exact.
-/// Page-edge handling (b outside the decoded page) is the caller's job:
-/// only call with both slots inside one page.
-inline bool fuse_rv32(const DecodedInsn& a, const DecodedInsn& b, BcOp& out) {
-  if (a.rd == 0) return false;
-  const auto emit = [&](BcHandler h, std::int32_t imm, std::int32_t imm2) {
-    out.handler = static_cast<std::uint8_t>(h);
-    out.rd = a.rd;
-    out.rs1 = a.rs1;
-    out.rs2 = a.rs2;
-    out.imm = imm;
-    out.imm2 = imm2;
-  };
-  switch (a.kind) {
-    case OpKind::kLui:
-      if (b.kind == OpKind::kAddi && b.rs1 == a.rd) {
-        emit(BcHandler::kFusedLuiAddi, a.imm, a.imm + b.imm);
-        out.rs2 = b.rd;  // second component's destination
-        return true;
-      }
-      return false;
-    case OpKind::kAuipc:
-      if (b.kind == OpKind::kAddi && b.rs1 == a.rd) {
-        emit(BcHandler::kFusedAuipcAddi, a.imm, a.imm + b.imm);
-        out.rs2 = b.rd;
-        return true;
-      }
-      if (b.kind == OpKind::kLw && b.rs1 == a.rd) {
-        emit(BcHandler::kFusedAuipcLw, a.imm, a.imm + b.imm);
-        out.rs2 = b.rd;
-        return true;
-      }
-      return false;
-    case OpKind::kSlli:
-      // Rotate idiom: both shifts read the same un-clobbered source; the
-      // second destination may be x0 (runtime no-op) or alias rd (last
-      // write wins, program order preserved).
-      if (b.kind == OpKind::kSrli && b.rs1 == a.rs1 && a.rd != a.rs1) {
-        emit(BcHandler::kFusedSlliSrli, a.imm, b.imm);
-        out.rs2 = b.rd;
-        return true;
-      }
-      return false;
-    case OpKind::kSrli:
-      if (b.kind == OpKind::kSlli && b.rs1 == a.rs1 && a.rd != a.rs1) {
-        emit(BcHandler::kFusedSrliSlli, a.imm, b.imm);
-        out.rs2 = b.rd;
-        return true;
-      }
-      return false;
-    case OpKind::kOr:
-      // ARX rotate-then-mix: the xor consumes the or'd rotate halves.
-      // The handler commits rd first and forwards the or result, so any
-      // operand aliasing (including both xor sources == rd) is exact.
-      if (b.kind == OpKind::kXor && (b.rs1 == a.rd || b.rs2 == a.rd)) {
-        const std::uint8_t other = b.rs1 == a.rd ? b.rs2 : b.rs1;
-        emit(BcHandler::kFusedOrXor, other, b.rd);
-        return true;
-      }
-      if (b.kind == OpKind::kXori && b.rs1 == a.rd) {
-        emit(BcHandler::kFusedOrXori, b.imm, b.rd);
-        return true;
-      }
-      return false;
-    case OpKind::kSlt:
-    case OpKind::kSltu:
-    case OpKind::kSlti:
-    case OpKind::kSltiu:
-    case OpKind::kAddi: {
-      if (a.kind == OpKind::kAddi && b.kind == OpKind::kAddi) {
-        // Paired pointer bumps: the second addi must be a self-update
-        // (rd == rs1) of a register the first does not write, so the two
-        // halves are independent and commit in program order.
-        if (b.rd != 0 && b.rd == b.rs1 && b.rd != a.rd) {
-          emit(BcHandler::kFusedAddiAddi, a.imm, b.imm);
-          out.rs2 = b.rd;
-          return true;
-        }
-        return false;
-      }
-      if (b.kind != OpKind::kBeq && b.kind != OpKind::kBne) return false;
-      // Zero test of a.rd: beq/bne rd,x0 or x0,rd.
-      const bool zero_test = (b.rs1 == a.rd && b.rs2 == 0) ||
-                             (b.rs1 == 0 && b.rs2 == a.rd);
-      if (!zero_test) return false;
-      const bool on_nonzero = b.kind == OpKind::kBne;
-      BcHandler h;
-      switch (a.kind) {
-        case OpKind::kSlt:
-          h = on_nonzero ? BcHandler::kFusedSltBnez : BcHandler::kFusedSltBeqz;
-          break;
-        case OpKind::kSltu:
-          h = on_nonzero ? BcHandler::kFusedSltuBnez
-                         : BcHandler::kFusedSltuBeqz;
-          break;
-        case OpKind::kSlti:
-          h = on_nonzero ? BcHandler::kFusedSltiBnez
-                         : BcHandler::kFusedSltiBeqz;
-          break;
-        case OpKind::kSltiu:
-          h = on_nonzero ? BcHandler::kFusedSltiuBnez
-                         : BcHandler::kFusedSltiuBeqz;
-          break;
-        default:  // kAddi
-          h = on_nonzero ? BcHandler::kFusedAddiBnez
-                         : BcHandler::kFusedAddiBeqz;
-          break;
-      }
-      // imm2 pre-biased by +4: the branch sits at pair-pc + 4, so the
-      // taken target is pair-pc + 4 + b.imm = pair-pc + imm2.
-      emit(h, a.imm, b.imm + 4);
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-/// Is this handler a fused pair (retires two instructions per dispatch)?
-constexpr bool is_fused(BcHandler h) {
-  return h >= BcHandler::kFusedLuiAddi;
 }
 
 }  // namespace convolve::tee

@@ -81,6 +81,10 @@ class SecurityMonitor {
 
   /// Context switches. They reprogram the PMP; the caller then performs
   /// accesses through the machine at the corresponding privilege.
+  ///
+  /// enter_enclave and every per-enclave service below (run, attest,
+  /// seal, unseal, local_attest) throw std::runtime_error for a destroyed
+  /// enclave and std::out_of_range for an unknown id.
   void enter_os();
   void enter_enclave(int id);
 
@@ -149,6 +153,9 @@ class SecurityMonitor {
 
   friend struct SmSnapshot;
   Enclave& enclave_mut(int id);
+  /// enclave(id), or std::runtime_error("<op>: destroyed") if it is not
+  /// alive.
+  const Enclave& live_enclave(int id, const char* op) const;
   Bytes sealing_key(const Enclave& e) const;
   /// Truncated HMAC-SHA512 of id_le32 || measurement under the local
   /// attestation key: what local_attest hands out and verify checks.

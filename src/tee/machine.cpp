@@ -22,20 +22,12 @@ std::size_t page_count_of(std::size_t bytes) {
 
 static_assert(DecodedPage::kSlots * 4 == Machine::kPageBytes);
 
-struct DecodeTally {
-  std::uint64_t slots = 0;  // slots re-decoded
-  std::uint64_t fused = 0;  // fused ops among them
-};
-
 // Bring `d` in line with the n whole words at `src`: re-decode each slot
-// whose word differs from d.words, plus the slot before it. A fused pair's
-// handler lives in its FIRST slot and reads the next word; the second slot
-// keeps its own unfused op, so a jump into the middle of the pair runs the
-// plain instruction. No fusion crosses the page edge. `whole` re-decodes
-// every slot, for a page with no earlier decode. Each re-decoded slot is
-// linked to its handler before anyone can execute it.
-void refresh_slots(DecodedPage& d, const std::uint8_t* src, std::size_t n,
-                   bool whole, DecodeTally& tally) {
+// whose word differs from d.words, or every slot when `whole` (a page with
+// no earlier decode). Each re-decoded slot is linked to its handler before
+// anyone can execute it. Returns the number of slots re-decoded.
+std::uint64_t refresh_slots(DecodedPage& d, const std::uint8_t* src,
+                            std::size_t n, bool whole) {
   const void* const* handlers = bytecode_handlers();
   const auto link = [handlers](BcOp& op) { op.target = handlers[op.handler]; };
   if (whole) {
@@ -45,26 +37,16 @@ void refresh_slots(DecodedPage& d, const std::uint8_t* src, std::size_t n,
       link(d.bytecode[i]);
     }
   }
-  // Downward, so slot i's look-ahead word i + 1 is already current.
-  bool next_changed = false;
-  for (std::size_t i = n; i-- > 0;) {
+  std::uint64_t redecoded = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t word = load_le32(src + 4 * i);
-    const bool changed = whole || word != d.words[i];
+    if (!whole && word == d.words[i]) continue;
     d.words[i] = word;
-    if (changed || next_changed) {
-      const DecodedInsn cur = decode_rv32(word);
-      BcOp op;
-      if (i + 1 < n && fuse_rv32(cur, decode_rv32(d.words[i + 1]), op)) {
-        ++tally.fused;
-      } else {
-        op = bytecode_single(cur);
-      }
-      link(op);
-      d.bytecode[i] = op;
-      ++tally.slots;
-    }
-    next_changed = changed;
+    d.bytecode[i] = bytecode_single(decode_rv32(word));
+    link(d.bytecode[i]);
+    ++redecoded;
   }
+  return redecoded;
 }
 
 const DecodedPage* find_code(const std::vector<DecodedPage>& code,
@@ -157,15 +139,13 @@ std::shared_ptr<const MachineImage> Machine::freeze(
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
   img->code.resize(pages.size());
-  DecodeTally tally;
   for (std::size_t i = 0; i < pages.size(); ++i) {
     DecodedPage& d = img->code[i];
     d.base = pages[i] << kPageShift;
     d.version = page_version_[pages[i]];
     refresh_slots(d, img->bytes.data() + d.base, page_bytes_of(pages[i]) / 4,
-                  true, tally);
+                  true);
   }
-  CONVOLVE_TELEMETRY_ONLY(fused_emitted_ += tally.fused;)
   return img;
 }
 
@@ -201,12 +181,11 @@ const DecodedPage& Machine::decoded_page(std::uint64_t page_base) {
     }
   }
   const std::uint64_t p = page_base >> kPageShift;
-  DecodeTally tally;
-  refresh_slots(*mine, rpage_[p], page_bytes_of(p) / 4, whole, tally);
+  [[maybe_unused]] const std::uint64_t redecoded =
+      refresh_slots(*mine, rpage_[p], page_bytes_of(p) / 4, whole);
   mine->base = page_base;
   mine->version = version;
-  CONVOLVE_TELEMETRY_ONLY(++dc_misses_; dc_words_ += tally.slots;
-                          fused_emitted_ += tally.fused;)
+  CONVOLVE_TELEMETRY_ONLY(++dc_misses_; dc_words_ += redecoded;)
   return *mine;
 }
 
@@ -231,7 +210,6 @@ telemetry::Counter t_pmp_memo_misses{"rv32.pmp_memo.misses"};
 telemetry::Counter t_dc_shared_hits{"rv32.decode.shared_hits"};
 telemetry::Counter t_dc_misses{"rv32.decode_cache.misses"};
 telemetry::Counter t_dc_words{"rv32.decode.words_redecoded"};
-telemetry::Counter t_fusion_emitted{"rv32.fusion.emitted"};
 telemetry::Counter t_cow_materialized{"tee.cow.pages_materialized"};
 
 void publish(telemetry::Counter& counter, std::uint64_t& tally) {
@@ -245,7 +223,6 @@ void Machine::flush_telemetry() const {
   publish(t_dc_shared_hits, dc_shared_hits_);
   publish(t_dc_misses, dc_misses_);
   publish(t_dc_words, dc_words_);
-  publish(t_fusion_emitted, fused_emitted_);
   if (cow_materialized_ > cow_flushed_) {
     t_cow_materialized.add(cow_materialized_ - cow_flushed_);
     cow_flushed_ = cow_materialized_;

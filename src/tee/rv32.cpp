@@ -20,7 +20,6 @@ Rv32Cpu::Rv32Cpu(Machine& machine, std::uint32_t entry_pc, PrivMode mode)
 namespace {
 telemetry::Counter t_retired{"rv32.instructions_retired"};
 telemetry::Counter t_bc_insns{"rv32.bytecode.instructions"};
-telemetry::Counter t_fusion_pairs{"rv32.fusion.pairs"};
 }  // namespace
 
 Rv32Cpu::~Rv32Cpu() { flush_telemetry(); }
@@ -29,9 +28,7 @@ void Rv32Cpu::flush_telemetry() {
   t_retired.add(retired_ - flushed_retired_);
   flushed_retired_ = retired_;
   t_bc_insns.add(bc_steps_);
-  t_fusion_pairs.add(fused_exec_);
   bc_steps_ = 0;
-  fused_exec_ = 0;
 }
 #else
 Rv32Cpu::~Rv32Cpu() = default;
@@ -325,19 +322,18 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
 }
 
 // ---------------------------------------------------------------------
-// Bytecode engine: threaded dispatch + macro-op fusion
+// Bytecode engine: threaded dispatch
 // ---------------------------------------------------------------------
 //
-// The loop dispatches one BcOp per emulated instruction (or per fused
-// pair) with no per-instruction PMP/alignment/page-version checks: those
-// are hoisted into the outer resync path, which is only re-entered when
-// the pc leaves the validated execute window, a store bumps the current
-// page's version, or a fused pair cannot run whole. Hoisting is sound
-// because within one run() the PMP epoch cannot change (no CSR
-// instructions are implemented and ecall exits the loop), so the
-// execute window returned by Machine::execute_window stays valid until
-// the pc leaves it, and only stores can invalidate the current page's
-// decode.
+// The loop dispatches one BcOp per emulated instruction with no
+// per-instruction PMP/alignment/page-version checks: those are hoisted
+// into the outer resync path, which is only re-entered when the pc leaves
+// the validated execute window or a store bumps the current page's
+// version. Hoisting is sound because within one run() the PMP epoch
+// cannot change (no CSR instructions are implemented and ecall exits the
+// loop), so the execute window returned by Machine::execute_window stays
+// valid until the pc leaves it, and only stores can invalidate the
+// current page's decode.
 //
 // Accounting contract (identical to run_interpreted):
 //   - every attempted instruction, including a trapping one, consumes
@@ -346,9 +342,6 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
 //   - Non-retiring traps (misaligned fetch, fetch fault, illegal,
 //     load/store fault) leave pc_ at the trapping instruction.
 //   - ecall/ebreak retire and advance pc_ past themselves.
-//   - A fused pair retires as TWO steps; if its second component faults,
-//     the first has committed (pc_ = pair pc + 4) and the trap carries
-//     the component's pc/tval.
 
 #if !defined(__GNUC__) && !defined(__clang__)
 #error "the bytecode engine dispatches by computed goto (GCC or Clang)"
@@ -393,8 +386,8 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
 
 // Retire a store, then resync if it bumped the current page's version
 // (self-modifying code): the outer path re-decodes before the next
-// dispatch, so a store that patches upcoming code — including the second
-// half of a fused pair — is observed exactly as the oracle observes it.
+// dispatch, so a store that patches upcoming code is observed exactly as
+// the oracle observes it.
 #define BC_STORE_TAIL()                                          \
   do {                                                           \
     pc += 4;                                                     \
@@ -404,63 +397,6 @@ Rv32Cpu::RunResult Rv32Cpu::run(std::uint64_t max_steps) {
     if (static_cast<std::uint64_t>(pc) >= whi)                   \
       goto sync_outer;                                           \
     BC_DISPATCH();                                               \
-  } while (0)
-
-// Fused pairs only run whole: both halves inside the validated window and
-// at least two steps of budget. Otherwise split — scalar_one executes the
-// first component through the oracle and resyncs.
-#define BC_FUSED_GUARD()                                              \
-  do {                                                                \
-    if (fuel < 2 || static_cast<std::uint64_t>(pc) + 8 > whi)         \
-      goto scalar_one;                                                \
-  } while (0)
-
-// Retire a fused pair that falls through to the slot after the pair.
-#define BC_FUSED_TAIL()                                      \
-  do {                                                       \
-    pc += 8;                                                 \
-    op += 2;                                                 \
-    fuel -= 2;                                               \
-    if (fuel == 0) goto budget_exit;                         \
-    if (static_cast<std::uint64_t>(pc) >= whi)               \
-      goto sync_outer;                                       \
-    BC_DISPATCH();                                           \
-  } while (0)
-
-// Retire a fused cmp+branch pair. Budget is checked before the deferred
-// misaligned-target trap: if the pair consumed the last fuel, the run
-// ends cleanly and the trap (if any) surfaces on the next call, exactly
-// like the oracle.
-#define BC_FUSED_BRANCH_TAIL(taken_expr)                         \
-  do {                                                           \
-    fuel -= 2;                                                   \
-    if (taken_expr) {                                            \
-      pc += static_cast<std::uint32_t>(op->imm2);                \
-      if (fuel == 0) goto budget_exit;                           \
-      if ((pc & 3u) != 0) goto sync_outer;                       \
-      if (static_cast<std::uint64_t>(pc) - wlo >= wspan)         \
-        goto sync_outer;                                         \
-      op = ops + ((pc & (Machine::kPageBytes - 1)) >> 2);        \
-      BC_DISPATCH();                                             \
-    }                                                            \
-    pc += 8;                                                     \
-    op += 2;                                                     \
-    if (fuel == 0) goto budget_exit;                             \
-    if (static_cast<std::uint64_t>(pc) >= whi)                   \
-      goto sync_outer;                                           \
-    BC_DISPATCH();                                               \
-  } while (0)
-
-// cmp+branch super-ops: compute the comparison, commit it to rd, then
-// branch on (rd == 0) / (rd != 0). imm2 is pre-biased so the taken
-// target is pair-pc + imm2.
-#define BC_FUSED_CMP_BRANCH(cond_expr, taken_on_nonzero)  \
-  do {                                                    \
-    BC_FUSED_GUARD();                                     \
-    const std::uint32_t c = (cond_expr) ? 1u : 0u;        \
-    xr[op->rd] = c;                                       \
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)                   \
-    BC_FUSED_BRANCH_TAIL((c != 0) == (taken_on_nonzero)); \
   } while (0)
 
 // GCSE and cross-jumping would factor the per-handler computed gotos into
@@ -488,14 +424,6 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(Rv32Cpu* self,
       &&lab_Div, &&lab_Divu, &&lab_Rem, &&lab_Remu,
       &&lab_Fence, &&lab_Ecall, &&lab_Ebreak,
       &&lab_Nop,
-      &&lab_FusedLuiAddi, &&lab_FusedAuipcAddi, &&lab_FusedAuipcLw,
-      &&lab_FusedSltBeqz, &&lab_FusedSltBnez,
-      &&lab_FusedSltuBeqz, &&lab_FusedSltuBnez,
-      &&lab_FusedSltiBeqz, &&lab_FusedSltiBnez,
-      &&lab_FusedSltiuBeqz, &&lab_FusedSltiuBnez,
-      &&lab_FusedAddiBeqz, &&lab_FusedAddiBnez,
-      &&lab_FusedSlliSrli, &&lab_FusedSrliSlli, &&lab_FusedAddiAddi,
-      &&lab_FusedOrXor, &&lab_FusedOrXori,
   };
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBcHandlerCount,
                 "dispatch table must cover every BcHandler");
@@ -512,7 +440,6 @@ Rv32Cpu::RunResult Rv32Cpu::run_bytecode(Rv32Cpu* self,
   std::uint32_t pc = cpu.pc_;
   std::uint64_t fuel = max_steps;      // remaining step budget
   std::uint64_t pub_fuel = max_steps;  // fuel at the last retired_ publish
-  std::uint64_t fused_n = 0;
 
   const BcOp* ops = nullptr;
   const BcOp* op = nullptr;
@@ -861,152 +788,10 @@ outer:
   }
   BC_CASE(Nop) { BC_NEXT(); }
 
-  BC_CASE(FusedLuiAddi) {
-    BC_FUSED_GUARD();
-    // Write order handles rd == rd2: the second component's result wins.
-    xr[op->rd] = static_cast<std::uint32_t>(op->imm);
-    if (op->rs2 != 0) xr[op->rs2] = static_cast<std::uint32_t>(op->imm2);
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-  BC_CASE(FusedAuipcAddi) {
-    BC_FUSED_GUARD();
-    xr[op->rd] = pc + static_cast<std::uint32_t>(op->imm);
-    if (op->rs2 != 0)
-      xr[op->rs2] = pc + static_cast<std::uint32_t>(op->imm2);
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-  BC_CASE(FusedAuipcLw) {
-    BC_FUSED_GUARD();
-    // auipc commits first; the load address is pc + imm + lw-offset
-    // = pc + imm2 (identical to reading the freshly written rd).
-    const std::uint32_t addr = pc + static_cast<std::uint32_t>(op->imm2);
-    xr[op->rd] = pc + static_cast<std::uint32_t>(op->imm);
-    std::uint32_t v;
-    if (!m.read32(addr, mode, v)) {
-      // Second component faults: the auipc has retired, the trap is the
-      // lw's own (pc + 4, faulting address), pc_ rests on the lw.
-      cpu.pc_ = pc + 4;
-      cpu.retired_ += pub_fuel - fuel + 1;
-      result.steps = max_steps - fuel + 2;
-      result.trap = Trap{TrapCause::kLoadAccessFault, pc + 4, addr};
-      goto tally;
-    }
-    if (op->rs2 != 0) xr[op->rs2] = v;
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-
-  BC_CASE(FusedSltBeqz) {
-    BC_FUSED_CMP_BRANCH(static_cast<std::int32_t>(xr[op->rs1]) <
-                            static_cast<std::int32_t>(xr[op->rs2]),
-                        false);
-  }
-  BC_CASE(FusedSltBnez) {
-    BC_FUSED_CMP_BRANCH(static_cast<std::int32_t>(xr[op->rs1]) <
-                            static_cast<std::int32_t>(xr[op->rs2]),
-                        true);
-  }
-  BC_CASE(FusedSltuBeqz) {
-    BC_FUSED_CMP_BRANCH(xr[op->rs1] < xr[op->rs2], false);
-  }
-  BC_CASE(FusedSltuBnez) {
-    BC_FUSED_CMP_BRANCH(xr[op->rs1] < xr[op->rs2], true);
-  }
-  BC_CASE(FusedSltiBeqz) {
-    BC_FUSED_CMP_BRANCH(
-        static_cast<std::int32_t>(xr[op->rs1]) < op->imm, false);
-  }
-  BC_CASE(FusedSltiBnez) {
-    BC_FUSED_CMP_BRANCH(
-        static_cast<std::int32_t>(xr[op->rs1]) < op->imm, true);
-  }
-  BC_CASE(FusedSltiuBeqz) {
-    BC_FUSED_CMP_BRANCH(
-        xr[op->rs1] < static_cast<std::uint32_t>(op->imm), false);
-  }
-  BC_CASE(FusedSltiuBnez) {
-    BC_FUSED_CMP_BRANCH(
-        xr[op->rs1] < static_cast<std::uint32_t>(op->imm), true);
-  }
-
-  // addi+beqz/bnez: the decrement-and-loop idiom. The sum commits to rd
-  // and the branch tests the fresh value against zero.
-  BC_CASE(FusedAddiBeqz) {
-    BC_FUSED_GUARD();
-    const std::uint32_t t =
-        xr[op->rs1] + static_cast<std::uint32_t>(op->imm);
-    xr[op->rd] = t;
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_BRANCH_TAIL(t == 0);
-  }
-  BC_CASE(FusedAddiBnez) {
-    BC_FUSED_GUARD();
-    const std::uint32_t t =
-        xr[op->rs1] + static_cast<std::uint32_t>(op->imm);
-    xr[op->rd] = t;
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_BRANCH_TAIL(t != 0);
-  }
-
-  // Rotate halves: both shifts of the shared, un-clobbered source. The
-  // second destination may be x0 (skip) or alias rd (last write wins).
-  BC_CASE(FusedSlliSrli) {
-    BC_FUSED_GUARD();
-    const std::uint32_t x = xr[op->rs1];
-    xr[op->rd] = x << op->imm;
-    if (op->rs2 != 0) xr[op->rs2] = x >> op->imm2;
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-  BC_CASE(FusedSrliSlli) {
-    BC_FUSED_GUARD();
-    const std::uint32_t x = xr[op->rs1];
-    xr[op->rd] = x >> op->imm;
-    if (op->rs2 != 0) xr[op->rs2] = x << op->imm2;
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-  // Paired pointer bumps: independent addis (fusion requires the second
-  // to self-update a register the first does not write, and rd != x0).
-  BC_CASE(FusedAddiAddi) {
-    BC_FUSED_GUARD();
-    xr[op->rd] = xr[op->rs1] + static_cast<std::uint32_t>(op->imm);
-    xr[op->rs2] += static_cast<std::uint32_t>(op->imm2);
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-
-  // ARX rotate-then-mix: commit the or, forward its value to the xor in a
-  // host register (no round trip through the register file). imm is the
-  // xor's other source (read AFTER the rd commit, so aliasing is exact);
-  // imm2 is the xor's destination, x0 = skip.
-  BC_CASE(FusedOrXor) {
-    BC_FUSED_GUARD();
-    const std::uint32_t t = xr[op->rs1] | xr[op->rs2];
-    xr[op->rd] = t;
-    if (op->imm2 != 0) xr[op->imm2] = t ^ xr[op->imm];
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-  BC_CASE(FusedOrXori) {
-    BC_FUSED_GUARD();
-    const std::uint32_t t = xr[op->rs1] | xr[op->rs2];
-    xr[op->rd] = t;
-    if (op->imm2 != 0)
-      xr[op->imm2] = t ^ static_cast<std::uint32_t>(op->imm);
-    CONVOLVE_TELEMETRY_ONLY(++fused_n;)
-    BC_FUSED_TAIL();
-  }
-
 scalar_one:
-  // Split path: run exactly one instruction through the reference
+  // Degenerate window: run exactly one instruction through the reference
   // interpreter (publishing pending retires first so step() sees a
-  // consistent retired_), then resync. Used when a fused pair cannot run
-  // whole; the oracle executes the first component with its own
-  // semantics, and the next outer entry handles whatever follows —
-  // including the second component faulting on its own.
+  // consistent retired_), then resync.
   cpu.pc_ = pc;
   cpu.retired_ += pub_fuel - fuel;
   pub_fuel = fuel;
@@ -1015,7 +800,7 @@ scalar_one:
     if (trap) {
       result.trap = *trap;
       result.steps = max_steps - fuel + 1;
-      goto tally;
+      return result;
     }
   }
   --fuel;
@@ -1027,13 +812,13 @@ env_exit:  // ecall/ebreak: retire, advance past the instruction
   cpu.pc_ = pc + 4;
   cpu.retired_ += pub_fuel - fuel + 1;
   result.steps = max_steps - fuel + 1;
-  goto tally;
+  return result;
 
 trap_at_pc:  // non-retiring trap: pc_ stays on the trapping instruction
   cpu.pc_ = pc;
   cpu.retired_ += pub_fuel - fuel;
   result.steps = max_steps - fuel + 1;
-  goto tally;
+  return result;
 
 sync_outer:  // leave the dispatch loop, keep executing via a fresh window
   cpu.pc_ = pc;
@@ -1043,11 +828,6 @@ budget_exit:
   cpu.pc_ = pc;
   cpu.retired_ += pub_fuel - fuel;
   result.steps = max_steps - fuel;
-  goto tally;
-
-tally:
-  CONVOLVE_TELEMETRY_ONLY(cpu.fused_exec_ += fused_n;)
-  (void)fused_n;
   return result;
 }
 
@@ -1056,10 +836,6 @@ tally:
 #undef BC_NEXT
 #undef BC_JUMP
 #undef BC_STORE_TAIL
-#undef BC_FUSED_GUARD
-#undef BC_FUSED_TAIL
-#undef BC_FUSED_BRANCH_TAIL
-#undef BC_FUSED_CMP_BRANCH
 
 const void* const* bytecode_handlers() {
   const void* const* table = nullptr;

@@ -1,6 +1,7 @@
 #include "convolve/tee/security_monitor.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "convolve/common/telemetry.hpp"
 #include "convolve/crypto/aead.hpp"
@@ -157,6 +158,13 @@ const SecurityMonitor::Enclave& SecurityMonitor::enclave(int id) const {
   return enclaves_[static_cast<std::size_t>(id)];
 }
 
+const SecurityMonitor::Enclave& SecurityMonitor::live_enclave(
+    int id, const char* op) const {
+  const Enclave& e = enclave(id);
+  if (!e.alive) throw std::runtime_error(std::string(op) + ": destroyed");
+  return e;
+}
+
 void SecurityMonitor::destroy_enclave(int id) {
   Enclave& e = enclave_mut(id);
   if (!e.alive) return;
@@ -188,8 +196,7 @@ void SecurityMonitor::enter_os() {
 }
 
 void SecurityMonitor::enter_enclave(int id) {
-  const Enclave& target = enclave(id);
-  if (!target.alive) throw std::runtime_error("enter_enclave: destroyed");
+  live_enclave(id, "enter_enclave");
   PmpUnit& pmp = machine_.pmp();
   for (const Enclave& e : enclaves_) {
     PmpEntry entry;
@@ -220,8 +227,7 @@ void SecurityMonitor::run_enclave(int id, const std::function<void()>& body) {
 
 Rv32Cpu::RunResult SecurityMonitor::run_enclave_program(
     int id, std::uint64_t max_steps, std::uint32_t entry_offset) {
-  const Enclave& e = enclave(id);
-  if (!e.alive) throw std::runtime_error("run_enclave_program: destroyed");
+  const Enclave& e = live_enclave(id, "run_enclave_program");
   enter_enclave(id);
   Rv32Cpu cpu(machine_,
               static_cast<std::uint32_t>(e.base) + entry_offset,
@@ -233,7 +239,7 @@ Rv32Cpu::RunResult SecurityMonitor::run_enclave_program(
 }
 
 AttestationReport SecurityMonitor::attest(int id, ByteView user_data) {
-  const Enclave& e = enclave(id);
+  const Enclave& e = live_enclave(id, "attest");
   if (user_data.size() > kEnclaveDataMax) {
     throw std::invalid_argument("attest: user data too large");
   }
@@ -279,7 +285,7 @@ Bytes SecurityMonitor::sealing_key(const Enclave& e) const {
 }
 
 Bytes SecurityMonitor::seal(int id, ByteView plaintext) {
-  const Enclave& e = enclave(id);
+  const Enclave& e = live_enclave(id, "seal");
   Bytes nonce(12, 0);
   store_le64(nonce.data(), ++seal_nonce_counter_);
   // Forks resumed from one snapshot share the counter's starting value;
@@ -292,7 +298,7 @@ Bytes SecurityMonitor::seal(int id, ByteView plaintext) {
 }
 
 std::optional<Bytes> SecurityMonitor::unseal(int id, ByteView sealed_blob) {
-  const Enclave& e = enclave(id);
+  const Enclave& e = live_enclave(id, "unseal");
   const auto box = crypto::aead_deserialize(sealed_blob);
   if (!box) {
     CONVOLVE_RECORD_EVENT(kSealReject, ctx_, 0, sealed_blob.size());
@@ -320,8 +326,7 @@ Bytes SecurityMonitor::local_attestation_mac(int target,
 }
 
 SecurityMonitor::LocalAttestation SecurityMonitor::local_attest(int target) {
-  const Enclave& e = enclave(target);
-  if (!e.alive) throw std::runtime_error("local_attest: destroyed");
+  const Enclave& e = live_enclave(target, "local_attest");
   LocalAttestation token;
   token.target = target;
   token.target_measurement = e.measurement;

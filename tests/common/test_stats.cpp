@@ -184,6 +184,18 @@ TEST(Welford, SecondOrderTSeparatesEqualMeanDifferentSpread) {
   EXPECT_GT(std::abs(welch_t_centered_square(narrow, wide)), 4.5);
 }
 
+TEST(Welford, SecondOrderTIsZeroForBalancedTwoLevelClasses) {
+  // Each class alternates between two levels, so every centered square
+  // is the same and var(y) is zero in both classes: the statistic is the
+  // degenerate 0, not CM2a - CM2b over the moments' rounding residue.
+  Welford a, b;
+  for (int i = 0; i < 1000; ++i) {
+    a.add(i % 2 == 0 ? 7.0 : 10.0);
+    b.add(i % 2 == 0 ? 2.0 : 4.0);
+  }
+  EXPECT_EQ(welch_t_centered_square(a, b), 0.0);
+}
+
 // --- Log2-histogram percentiles -----------------------------------------
 
 TEST(Log2Percentile, EmptyHistogramIsZero) {

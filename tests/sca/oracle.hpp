@@ -60,27 +60,6 @@ inline bool close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max(1.0, std::abs(b));
 }
 
-/// Second-order Welch t as welch_t_centered_square defines it (y = the
-/// centered square, mean(y) = CM2, var(y) = CM4 - CM2^2), except that a
-/// var(y) within 1e-9 * CM4 of zero counts as zero. Such a class takes two
-/// equally likely levels, so every centered square is the same; a
-/// per-trace fold only reaches that zero up to rounding, and dividing by
-/// the residue would turn a statistic the engine's exact integer sums get
-/// right (0, the degenerate convention) into noise of order 1e9.
-inline double centered_square_t(const Welford& a, const Welford& b) {
-  if (a.count() < 2 || b.count() < 2) return 0.0;
-  const auto var_y = [](const Welford& w) {
-    const double cm2 = w.central_moment2();
-    const double v = w.central_moment4() - cm2 * cm2;
-    return std::abs(v) <= 1e-9 * w.central_moment4() ? 0.0 : v;
-  };
-  const double denom =
-      std::sqrt(var_y(a) / static_cast<double>(a.count()) +
-                var_y(b) / static_cast<double>(b.count()));
-  if (denom <= 0.0 || !std::isfinite(denom)) return 0.0;
-  return (a.central_moment2() - b.central_moment2()) / denom;
-}
-
 struct TvlaPoint {
   int traces = 0;
   std::vector<double> t1, t2;
@@ -122,7 +101,7 @@ inline std::vector<TvlaPoint> tvla(const MaskedTraceTarget& target,
     p.traces = cp;
     for (std::size_t s = 0; s < samples; ++s) {
       p.t1.push_back(welch_t(fixed[s], random[s]));
-      p.t2.push_back(centered_square_t(fixed[s], random[s]));
+      p.t2.push_back(welch_t_centered_square(fixed[s], random[s]));
       p.max_abs_t1 = std::max(p.max_abs_t1, std::abs(p.t1.back()));
       p.max_abs_t2 = std::max(p.max_abs_t2, std::abs(p.t2.back()));
     }

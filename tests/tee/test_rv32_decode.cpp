@@ -1,6 +1,8 @@
 // Negative decode tests: every encoding the lax decoder used to accept
 // (or mis-book-keep) must trap as an illegal instruction, identically on
-// the reference interpreter (step loop) and the bytecode engine.
+// the reference interpreter (step loop) and the bytecode engine. The
+// single-slot bytecode rewrite is covered for its kNop and illegal-slot
+// cases.
 #include "convolve/tee/rv32.hpp"
 
 #include <gtest/gtest.h>
@@ -127,6 +129,32 @@ TEST(Rv32Decode, EcallAndEbreakStillResume) {
     EXPECT_EQ(c.cpu->reg(1), 9u);
     EXPECT_EQ(c.cpu->instructions_retired(), 3u);
   }
+}
+
+// --- Single-slot bytecode rewrite --------------------------------------
+
+TEST(Rv32Decode, BytecodeSingleRewritesX0WritesToNop) {
+  EXPECT_EQ(static_cast<BcHandler>(bytecode_single(decode_rv32(
+                rv::addi(0, 5, 42))).handler),
+            BcHandler::kNop);
+  EXPECT_EQ(static_cast<BcHandler>(bytecode_single(decode_rv32(
+                rv::lui(0, 0x123))).handler),
+            BcHandler::kNop);
+  // Loads with rd == x0 keep their access (fault semantics).
+  EXPECT_EQ(static_cast<BcHandler>(bytecode_single(decode_rv32(
+                rv::lw(0, 1, 0))).handler),
+            BcHandler::kLw);
+  // Jumps with rd == x0 keep their control transfer.
+  EXPECT_EQ(static_cast<BcHandler>(bytecode_single(decode_rv32(
+                rv::jal(0, 8))).handler),
+            BcHandler::kJal);
+}
+
+TEST(Rv32Decode, IllegalWordKeepsRawEncodingAsTval) {
+  const std::uint32_t garbage = 0xffffffffu;
+  const BcOp op = bytecode_single(decode_rv32(garbage));
+  EXPECT_EQ(static_cast<BcHandler>(op.handler), BcHandler::kIllegal);
+  EXPECT_EQ(static_cast<std::uint32_t>(op.imm), garbage);
 }
 
 }  // namespace

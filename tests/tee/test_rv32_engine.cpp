@@ -2,10 +2,10 @@
 // be bit-identical in architectural state to the reference interpreter
 // (Rv32Cpu::step / run_interpreted) — registers, pc, retired count, trap
 // cause/pc/tval and memory — under random instruction streams (valid,
-// mutated, and fusion-pattern-seeded), PMP-restricted U-mode execution,
-// self-modifying code (including patches that land on the second half of
-// a fused pair), PMP reprogramming between runs, step budgets that end
-// between fused-pair halves, and code images that end on a
+// mutated, and seeded with dependent-pair idioms), PMP-restricted U-mode
+// execution, self-modifying code (including patches to the second word of
+// a dependent pair), PMP reprogramming between runs, step budgets that end
+// between the two words of a pair, and code images that end on a
 // non-4-byte-aligned tail.
 #include "convolve/tee/rv32.hpp"
 
@@ -103,10 +103,11 @@ struct DuoCpu {
 };
 
 // Random RV32IM instruction word generator: mostly-valid encodings with
-// random fields, a slice of fully random words, a slice of fusible-pair
-// idioms (so the fuzz actually drives the fused handlers and their split
-// paths), and a bit-flip mutator, so legal execution, macro-op fusion and
-// illegal-encoding trap paths are all exercised.
+// random fields, a slice of fully random words, a slice of dependent-pair
+// idioms (lui+addi, auipc+lw, shift pairs, addi pairs, or+xor[i],
+// compare+branch), and a bit-flip mutator, so legal execution, register
+// forwarding between adjacent instructions and illegal-encoding trap
+// paths are all exercised.
 class InsnFuzzer {
  public:
   explicit InsnFuzzer(std::uint64_t seed) : rng_(seed) {}
@@ -158,8 +159,8 @@ class InsnFuzzer {
                (static_cast<std::uint32_t>(reg()) << 7) |
                (rng_.next_bit() ? 0x37u : 0x17u);
         break;
-      case 9: case 10:  // fusible-pair idioms (second word queued)
-        word = fusion_pair();
+      case 9: case 10:  // dependent-pair idioms (second word queued)
+        word = pair_idiom();
         break;
       default:  // raw random word (usually illegal)
         word = static_cast<std::uint32_t>(rng_.next_u64());
@@ -170,12 +171,11 @@ class InsnFuzzer {
   }
 
  private:
-  // Emit the first word of a fused-pair idiom and queue the second. The
-  // register fields are random, so a slice of these pairs deliberately
-  // violates the fusion preconditions (rd == x0, rd aliasing rs1, second
-  // addi not a self-update, ...) and must be rejected by the recognizer
-  // yet still execute identically.
-  std::uint32_t fusion_pair() {
+  // Emit the first word of a dependent-pair idiom and queue the second.
+  // The register fields are random, so a slice of these pairs hits the
+  // aliasing corner cases (rd == x0, rd aliasing rs1, second addi not a
+  // self-update, ...), which must execute identically too.
+  std::uint32_t pair_idiom() {
     namespace rv = rv32asm;
     const int a = reg(), b = reg(), c = reg(), d = reg();
     const int sh1 = static_cast<int>(rng_.uniform(32));
@@ -346,9 +346,9 @@ TEST(Rv32Engine, JalrWithRdEqualRs1UsesOldValueForTarget) {
   EXPECT_EQ(t.bc->reg(1), 0x1004u);
 }
 
-// --- Fused-pair semantics (directed) -----------------------------------
+// --- Dependent instruction pairs (directed) ----------------------------
 
-TEST(Rv32Engine, FusedLuiAddiVariants) {
+TEST(Rv32Engine, LuiAddiPairVariants) {
   // Distinct destination, aliasing destination (addi rd == lui rd), and
   // discarded second destination (addi rd == x0) — all must match the
   // two-instruction reference exactly.
@@ -368,10 +368,10 @@ TEST(Rv32Engine, FusedLuiAddiVariants) {
   EXPECT_EQ(t.bc->instructions_retired(), 7u);
 }
 
-TEST(Rv32Engine, FusedAuipcLwFaultAttributesSecondComponent) {
-  // auipc x1 commits and retires; the fused lw faults. The trap must name
-  // the lw's pc (pair pc + 4) and the faulting data address, and the step
-  // count must include the faulting attempt.
+TEST(Rv32Engine, AuipcLwPairFaultAttributesTheLoad) {
+  // auipc x1 commits and retires; the lw after it faults. The trap must
+  // name the lw's pc (pair pc + 4) and the faulting data address, and the
+  // step count must include the faulting attempt.
   DuoCpu t(rv::assemble({rv::auipc(1, 0x20), rv::lw(2, 1, 0), rv::ebreak()}),
            0x1000, 0x1000, PrivMode::kMachine);
   const auto trap = t.run_all(10);
@@ -383,10 +383,10 @@ TEST(Rv32Engine, FusedAuipcLwFaultAttributesSecondComponent) {
   EXPECT_EQ(t.bc->instructions_retired(), 1u);
 }
 
-TEST(Rv32Engine, FusedCmpBranchTakenNotTakenAndMisaligned) {
-  // slti+bnez taken and not-taken legs, then a fused pair whose branch
-  // target is misaligned: the pair retires and the trap lands on the
-  // target address, exactly like the unfused reference.
+TEST(Rv32Engine, CmpBranchPairTakenNotTakenAndMisaligned) {
+  // slti+bnez taken and not-taken legs, then a pair whose branch target is
+  // misaligned: the branch retires and the trap lands on the target
+  // address, exactly like the reference.
   DuoCpu t(rv::assemble({
                rv::slti(1, 0, 1),   // x1 = (0 < 1) = 1
                rv::bne(1, 0, 12),   // taken -> 0x1010
@@ -408,10 +408,10 @@ TEST(Rv32Engine, FusedCmpBranchTakenNotTakenAndMisaligned) {
   EXPECT_EQ(t.bc->reg(3), 1u);
 }
 
-TEST(Rv32Engine, FusedPairSplitAtBudgetBoundary) {
-  // An odd step budget that expires between the two halves of a fused
+TEST(Rv32Engine, BudgetEndsBetweenShiftPairHalves) {
+  // An odd step budget that expires between the two halves of a shift
   // pair: the engine must retire exactly the first half and leave pc on
-  // the second component, like the single-stepping reference.
+  // the second, like the single-stepping reference.
   std::vector<std::uint32_t> program;
   for (int i = 0; i < 8; ++i) {
     program.push_back(rv::slli(1, 8, 3));
@@ -428,18 +428,18 @@ TEST(Rv32Engine, FusedPairSplitAtBudgetBoundary) {
   EXPECT_EQ(t.bc->reg(2), 0x80000001u >> 29);
 }
 
-TEST(Rv32Engine, SmcPatchesSecondHalfOfFusedPair) {
-  // The loop executes a fused lui+addi pair, then stores a new addi word
-  // over the pair's second half (bumping the page version mid-run) and
+TEST(Rv32Engine, SmcPatchesSecondHalfOfLuiAddiPair) {
+  // The loop executes a lui+addi pair, then stores a new addi word over
+  // the pair's second half (bumping the page version mid-run) and
   // re-executes it: the engine must re-decode and apply the patched
-  // immediate instead of replaying the stale fused pair.
+  // immediate instead of replaying the stale decode.
   DuoCpu t(rv::assemble({
                rv::auipc(1, 0),       // 0x1000: x1 = 0x1000
                rv::lw(3, 1, 0x100),   // 0x1004: x3 = patch word
                rv::jal(0, 0x28),      // 0x1008: -> 0x1030
                rv::nop(), rv::nop(), rv::nop(), rv::nop(),
                rv::nop(), rv::nop(), rv::nop(), rv::nop(), rv::nop(),
-               rv::lui(5, 1),         // 0x1030: fused pair, first half
+               rv::lui(5, 1),         // 0x1030: pair, first half
                rv::addi(6, 5, 0x100), // 0x1034: patched to addi(6,5,0x200)
                rv::bne(7, 0, 0x10),   // 0x1038: second pass -> 0x1048
                rv::addi(7, 0, 1),     // 0x103c
@@ -455,39 +455,27 @@ TEST(Rv32Engine, SmcPatchesSecondHalfOfFusedPair) {
   EXPECT_EQ(t.bc->reg(6), 0x1200u);  // patched immediate, not 0x1100
 }
 
-TEST(Rv32Engine, FusiblePairAtPageEdgeIsNotFused) {
-  // lui at 0x1ffc and addi at 0x2000 sit in different decoded pages, so
-  // the pair must execute unfused (no cross-page fusion) and still match.
-#if CONVOLVE_TELEMETRY_ENABLED
-  const std::uint64_t emitted0 =
-      telemetry::snapshot().counter_value("rv32.fusion.emitted");
-#endif
-  {
-    DuoCpu t(rv::assemble({
-                 rv::addi(3, 0, 7),      // 0x1ff8
-                 rv::lui(1, 0x12345),    // 0x1ffc: last slot of page 0x1000
-                 rv::addi(2, 1, 0x678),  // 0x2000: first slot of page 0x2000
-                 rv::ebreak(),           // 0x2004
-             }),
-             0x1ff8, 0x1ff8, PrivMode::kMachine);
-    const auto trap = t.run_all(100);
-    ASSERT_TRUE(trap.has_value());
-    EXPECT_EQ(trap->cause, TrapCause::kEbreak);
-    EXPECT_EQ(t.bc->reg(2), 0x12345678u);
-    t.bc->flush_telemetry();
-  }
-#if CONVOLVE_TELEMETRY_ENABLED
-  const std::uint64_t emitted1 =
-      telemetry::snapshot().counter_value("rv32.fusion.emitted");
-  EXPECT_EQ(emitted1, emitted0) << "pair straddling the page edge was fused";
-#endif
+TEST(Rv32Engine, LuiAddiPairAcrossPageEdge) {
+  // lui at 0x1ffc and addi at 0x2000 sit in different decoded pages; the
+  // addi must read the lui's result across the page switch.
+  DuoCpu t(rv::assemble({
+               rv::addi(3, 0, 7),      // 0x1ff8
+               rv::lui(1, 0x12345),    // 0x1ffc: last slot of page 0x1000
+               rv::addi(2, 1, 0x678),  // 0x2000: first slot of page 0x2000
+               rv::ebreak(),           // 0x2004
+           }),
+           0x1ff8, 0x1ff8, PrivMode::kMachine);
+  const auto trap = t.run_all(100);
+  ASSERT_TRUE(trap.has_value());
+  EXPECT_EQ(trap->cause, TrapCause::kEbreak);
+  EXPECT_EQ(t.bc->reg(2), 0x12345678u);
 }
 
-TEST(Rv32Engine, PmpExecuteWindowEndsBetweenFusedPairHalves) {
+TEST(Rv32Engine, PmpExecuteWindowEndsBetweenPairHalves) {
   // U-mode execute permission covers [0x1000, 0x1800). The pair halves at
-  // 0x17fc / 0x1800 share a decoded page (so they fuse at decode time),
-  // but the second fetch is outside the window: the first half must
-  // commit and retire, and the trap must name 0x1800.
+  // 0x17fc / 0x1800 share a decoded page, but the second fetch is outside
+  // the window: the first half must commit and retire, and the trap must
+  // name 0x1800.
   std::vector<std::uint32_t> program(513, rv::nop());  // 0x17f8..0x2000
   program[0] = rv::addi(3, 0, 9);      // 0x17f8
   program[1] = rv::lui(1, 2);          // 0x17fc
@@ -506,38 +494,25 @@ TEST(Rv32Engine, PmpExecuteWindowEndsBetweenFusedPairHalves) {
   EXPECT_EQ(t.bc->instructions_retired(), 2u);
 }
 
-TEST(Rv32Engine, FusedAndUnfusedRetireIdenticalCounts) {
-  // The Keccak-style rotate/mix loop is fusion-dense; retired counts and
-  // state must match the reference exactly, and (telemetry builds) the
-  // bytecode engine must actually have executed fused pairs.
-#if CONVOLVE_TELEMETRY_ENABLED
-  const std::uint64_t fused0 =
-      telemetry::snapshot().counter_value("rv32.fusion.pairs");
-#endif
-  {
-    DuoCpu t(rv::assemble({
-                 rv::addi(4, 0, 100),    // loop counter
-                 rv::slli(1, 8, 7),      // 0x1004: rotate halves
-                 rv::srli(2, 8, 25),
-                 rv::or_(3, 1, 2),       // combine
-                 rv::xori(8, 3, 0x55),   // mix back into source
-                 rv::addi(4, 4, -1),
-                 rv::bne(4, 0, -20),     // -> 0x1004
-                 rv::ebreak(),
-             }),
-             0x1000, 0x1000, PrivMode::kMachine);
-    t.set_reg(8, 0xdeadbeefu);
-    const auto trap = t.run_all(10000);
-    ASSERT_TRUE(trap.has_value());
-    EXPECT_EQ(trap->cause, TrapCause::kEbreak);
-    EXPECT_EQ(t.bc->instructions_retired(), t.ref->instructions_retired());
-    t.bc->flush_telemetry();
-  }
-#if CONVOLVE_TELEMETRY_ENABLED
-  const std::uint64_t fused1 =
-      telemetry::snapshot().counter_value("rv32.fusion.pairs");
-  EXPECT_GT(fused1, fused0) << "bytecode engine executed no fused pairs";
-#endif
+TEST(Rv32Engine, RotateMixLoopRetiresIdenticalCounts) {
+  // A Keccak-style rotate/mix loop of dependent pairs: retired counts and
+  // state must match the reference exactly.
+  DuoCpu t(rv::assemble({
+               rv::addi(4, 0, 100),    // loop counter
+               rv::slli(1, 8, 7),      // 0x1004: rotate halves
+               rv::srli(2, 8, 25),
+               rv::or_(3, 1, 2),       // combine
+               rv::xori(8, 3, 0x55),   // mix back into source
+               rv::addi(4, 4, -1),
+               rv::bne(4, 0, -20),     // -> 0x1004
+               rv::ebreak(),
+           }),
+           0x1000, 0x1000, PrivMode::kMachine);
+  t.set_reg(8, 0xdeadbeefu);
+  const auto trap = t.run_all(10000);
+  ASSERT_TRUE(trap.has_value());
+  EXPECT_EQ(trap->cause, TrapCause::kEbreak);
+  EXPECT_EQ(t.bc->instructions_retired(), t.ref->instructions_retired());
 }
 
 // --- Decode overlay and word-granular refresh (directed) ---------------
@@ -646,9 +621,9 @@ TEST(Rv32Engine, RefreshDataStagedIntoCodePageMatchesInterpreter) {
   }
 }
 
-TEST(Rv32Engine, RefreshPatchedSecondHalfOfFusedPairRedecodesFirstHalf) {
-  // lui+addi fuse into slot 0. Patching only the addi word (slot 1) must
-  // re-decode slot 0 too, or the stale fused immediate would run.
+TEST(Rv32Engine, RefreshPatchedAddiAfterLuiMatchesInterpreter) {
+  // Patching only the addi word (slot 1) of a lui+addi pair must re-decode
+  // slot 1, or the stale immediate would run.
   for (const bool fork : {false, true}) {
     SCOPED_TRACE(fork ? "fork" : "plain");
     auto t = make_duo(fork,
@@ -664,10 +639,10 @@ TEST(Rv32Engine, RefreshPatchedSecondHalfOfFusedPairRedecodesFirstHalf) {
   }
 }
 
-TEST(Rv32Engine, RefreshPatchedLastSlotDoesNotFuseAcrossPageEdge) {
-  // Slot 1023 of page 0x1000 is patched to a lui whose fusible addi
-  // partner sits in slot 0 of the next page: the refresh must decode it
-  // unfused, and both pages keep executing in lock-step.
+TEST(Rv32Engine, RefreshPatchedLastSlotOfPage) {
+  // Slot 1023 of page 0x1000 is patched to a lui whose dependent addi
+  // sits in slot 0 of the next page: the refresh re-decodes the last slot,
+  // and both pages keep executing in lock-step.
   for (const bool fork : {false, true}) {
     SCOPED_TRACE(fork ? "fork" : "plain");
     auto t = make_duo(fork,
@@ -710,8 +685,8 @@ TEST(Rv32Engine, RefreshWordWrittenBackToOriginalValue) {
 TEST(Rv32Engine, ForkRefreshRedecodesOnlyChangedWords) {
   // The run_short shape on a fork: a fresh fork executes the image's
   // shared decode; staging input copies it and re-decodes the 16 staged
-  // words plus the slot before them; the result store re-decodes its own
-  // slot plus one; rewriting identical bytes re-decodes nothing.
+  // words; the result store re-decodes its own slot; rewriting identical
+  // bytes re-decodes nothing.
   const auto image = frozen_program(rv::assemble(staged_sum_program()), 0x1000);
   ASSERT_EQ(image->code.size(), 1u);
   struct Tally {
@@ -746,7 +721,7 @@ TEST(Rv32Engine, ForkRefreshRedecodesOnlyChangedWords) {
   d = run_delta(fork, 2000);
   EXPECT_EQ(d.shared, 0u);
   EXPECT_EQ(d.misses, 2u);        // staged input, then the result store
-  EXPECT_EQ(d.words, 16u + 1u + 2u);
+  EXPECT_EQ(d.words, 16u + 1u);
   EXPECT_EQ(fork.load(0x1700, 4, PrivMode::kMachine),
             rv::assemble({byte_sum(in)}));
 

@@ -95,6 +95,27 @@ TEST(SecurityMonitor, DestroyWipesEnclaveMemory) {
   EXPECT_THROW(w.sm->run_enclave(id, [] {}), std::runtime_error);
 }
 
+TEST(SecurityMonitor, DestroyedEnclaveIsNotAttested) {
+  World w(false);
+  const int id = w.sm->create_enclave(Bytes(64, 0xEE), 8192);
+  w.sm->destroy_enclave(id);
+  // No signed report for an enclave that no longer exists.
+  EXPECT_THROW(w.sm->attest(id, Bytes{1, 2, 3}), std::runtime_error);
+  EXPECT_THROW(w.sm->local_attest(id), std::runtime_error);
+  EXPECT_THROW(w.sm->run_enclave_program(id, 10), std::runtime_error);
+}
+
+TEST(SecurityMonitor, DestroyedEnclaveNeitherSealsNorUnseals) {
+  World w(false);
+  const int id = w.sm->create_enclave(Bytes(64, 0xEE), 8192);
+  const Bytes blob = w.sm->seal(id, as_bytes("secret"));
+  w.sm->destroy_enclave(id);
+  EXPECT_THROW(w.sm->seal(id, as_bytes("secret")), std::runtime_error);
+  EXPECT_THROW(w.sm->unseal(id, blob), std::runtime_error);
+  // An unknown id stays out_of_range, not "destroyed".
+  EXPECT_THROW(w.sm->seal(id + 1, as_bytes("secret")), std::out_of_range);
+}
+
 TEST(SecurityMonitor, AttestationVerifiesEndToEnd) {
   for (bool pq : {false, true}) {
     World w(pq);

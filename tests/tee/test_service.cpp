@@ -295,6 +295,34 @@ TEST(EnclaveService, InvalidRequestsAnswerErrors) {
   EXPECT_NE(responses[2].error.find("window"), std::string::npos);
 }
 
+TEST(EnclaveService, DestroyedEnclaveAnswersErrorToEveryKind) {
+  // The enclave is destroyed before the snapshot is frozen, so every fork
+  // sees it dead: no run, no report, no sealing under its key.
+  ServiceWorld w(sum_input_program(kInputLen));
+  const Bytes blob = w.sm->seal(w.enclave, as_bytes("secret"));
+  w.sm->destroy_enclave(w.enclave);
+  auto service = w.make_service();
+
+  Request attest;
+  attest.kind = RequestKind::kAttest;
+  attest.enclave = w.enclave;
+  Request seal = attest;
+  seal.kind = RequestKind::kSeal;
+  seal.payload = Bytes{1, 2, 3};
+  Request unseal = attest;
+  unseal.kind = RequestKind::kUnseal;
+  unseal.payload = blob;
+  const auto responses =
+      service.run_batch({run_request(w.enclave), attest, seal, unseal});
+  ASSERT_EQ(responses.size(), 4u);
+  for (const Response& r : responses) {
+    EXPECT_EQ(r.status, Status::kError) << r.seq;
+    EXPECT_NE(r.error.find("destroyed"), std::string::npos) << r.error;
+    EXPECT_FALSE(r.report.has_value()) << r.seq;
+    EXPECT_TRUE(r.data.empty()) << r.seq;
+  }
+}
+
 TEST(EnclaveService, StatsFoldAndPercentiles) {
   ServiceWorld w(sum_input_program(8));
   auto service = w.make_service();

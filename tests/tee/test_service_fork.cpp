@@ -121,7 +121,7 @@ TEST(ForkIsolation, FuzzedForkRunCycles) {
 }
 
 // FNV-1a over every shared decoded page: base, version, source words and
-// each bytecode slot field by field (BcOp has padding).
+// each bytecode slot field by field.
 std::uint64_t hash_code_table(const MachineImage& image) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -137,7 +137,6 @@ std::uint64_t hash_code_table(const MachineImage& image) {
       mix(op.handler | (op.rd << 8) | (op.rs1 << 16) |
           (static_cast<std::uint64_t>(op.rs2) << 24));
       mix(static_cast<std::uint32_t>(op.imm));
-      mix(static_cast<std::uint32_t>(op.imm2));
       mix(reinterpret_cast<std::uintptr_t>(op.target));
     }
   }
